@@ -32,6 +32,12 @@ constexpr uint16_t kLeafCapacity =
     static_cast<uint16_t>((kPageUsableSize - kHeader) / kLeafEntry);
 constexpr uint16_t kInnerCapacity =
     static_cast<uint16_t>((kPageUsableSize - kHeader) / kInnerEntry);
+// BulkLoadSorted fills each leaf to 7/8 of a page in either format, so the
+// first inserts after a load land in free space instead of splitting every
+// leaf they touch (PostgreSQL's nbtree builds leave 10% free for the same
+// reason).
+constexpr size_t kBulkLeafBytes = size_t{kPageUsableSize} * 7 / 8;
+constexpr size_t kBulkLeafLegacyCount = (kBulkLeafBytes - kHeader) / kLeafEntry;
 
 bool IsLeaf(const uint8_t* page) { return page[0] == 1; }
 void SetLeaf(uint8_t* page, bool leaf) { page[0] = leaf ? 1 : 0; }
@@ -510,8 +516,7 @@ Status BPlusTree::Erase(const Key& key) {
   return Status::OK();
 }
 
-Status BPlusTree::BulkLoadSorted(
-    const std::vector<std::pair<Key, uint64_t>>& entries) {
+Status BPlusTree::BulkLoadSorted(const std::vector<Entry>& entries) {
   {
     RUIDX_ASSIGN_OR_RETURN(uint8_t* root, pool_->Fetch(root_page_));
     bool empty = IsLeaf(root) && Count(root) == 0;
@@ -523,7 +528,7 @@ Status BPlusTree::BulkLoadSorted(
   }
   if (entries.empty()) return Status::OK();
   for (size_t i = 1; i < entries.size(); ++i) {
-    if (!(entries[i - 1].first < entries[i].first)) {
+    if (!(entries[i - 1].key < entries[i].key)) {
       return Status::InvalidArgument(
           "BulkLoadSorted input must be strictly ascending");
     }
@@ -533,28 +538,22 @@ Status BPlusTree::BulkLoadSorted(
     uint32_t page;
   };
   std::vector<NodeRef> level;
-  level.reserve(entries.size() / kLeafCapacity + 1);
-  // Leaf pass: fill leaves to capacity in key order. The previous leaf
+  level.reserve(entries.size() / kBulkLeafLegacyCount + 1);
+  // Leaf pass: fill leaves to kBulkLeafBytes in key order. The previous leaf
   // stays pinned until its successor exists so the chain is stitched with
   // each page touched exactly once. The empty root page becomes the first
   // leaf (a single-leaf result then keeps the root id unchanged). With
-  // compression on, each page greedily takes as many entries as encode into
-  // it, emitting compressed pages directly.
+  // compression on, each page takes as many entries as encode into the
+  // budget, emitting compressed pages directly.
   const bool compress = LeafCompressionEnabled();
-  std::vector<leaf::Entry> packed;
-  if (compress) {
-    packed.resize(entries.size());
-    for (size_t k = 0; k < entries.size(); ++k) {
-      packed[k] = leaf::Entry{entries[k].first, entries[k].second};
-    }
-  }
   uint32_t prev_leaf = kInvalidPage;
   uint8_t* prev_frame = nullptr;
   size_t i = 0;
   while (i < entries.size()) {
-    size_t take = compress
-                      ? leaf::MaxLeafTake(packed.data(), i, packed.size())
-                      : std::min<size_t>(kLeafCapacity, entries.size() - i);
+    size_t take =
+        compress ? leaf::MaxLeafTake(entries.data(), i, entries.size(),
+                                     kBulkLeafBytes)
+                 : std::min(kBulkLeafLegacyCount, entries.size() - i);
     uint32_t page_id;
     uint8_t* frame = nullptr;
     if (prev_leaf == kInvalidPage) {
@@ -570,29 +569,17 @@ Status BPlusTree::BulkLoadSorted(
       }
       page_id = *allocated;
     }
-    if (compress) {
-      if (!leaf::BuildLeaf(frame, packed.data() + i, take, kInvalidPage,
-                           prev_leaf)) {
-        if (prev_leaf != kInvalidPage) pool_->Unpin(prev_leaf, true);
-        pool_->Unpin(page_id, false);
-        return Status::Corruption("bulk-load chunk does not fit a page");
-      }
-    } else {
-      SetLeaf(frame, true);
-      SetCount(frame, static_cast<uint16_t>(take));
-      SetPrev(frame, prev_leaf);
-      SetLink(frame, kInvalidPage);
-      for (size_t k = 0; k < take; ++k) {
-        uint8_t* entry = LeafEntry(frame, k);
-        std::memcpy(entry, entries[i + k].first.data(), kKeySize);
-        std::memcpy(entry + kKeySize, &entries[i + k].second, 8);
-      }
+    if (!WriteLeafPage(frame, entries.data() + i, take, kInvalidPage,
+                       prev_leaf, compress)) {
+      if (prev_leaf != kInvalidPage) pool_->Unpin(prev_leaf, true);
+      pool_->Unpin(page_id, false);
+      return Status::Corruption("bulk-load chunk does not fit a page");
     }
     if (prev_leaf != kInvalidPage) {
       SetLink(prev_frame, page_id);
       pool_->Unpin(prev_leaf, true);
     }
-    level.push_back(NodeRef{entries[i].first, page_id});
+    level.push_back(NodeRef{entries[i].key, page_id});
     prev_leaf = page_id;
     prev_frame = frame;
     i += take;

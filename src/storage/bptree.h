@@ -28,6 +28,8 @@ class BPlusTree {
   /// bytewise comparison equals (global, local, flag) comparison.
   static constexpr size_t kKeySize = 33;
   using Key = std::array<uint8_t, kKeySize>;
+  /// A (key, value) pair as the leaf codec stores it.
+  using Entry = leaf::Entry;
 
   /// Creates an empty tree (allocates the root leaf).
   static Result<BPlusTree> Create(PageIo* pool);
@@ -41,13 +43,14 @@ class BPlusTree {
   Status Insert(const Key& key, uint64_t value);
 
   /// Builds the whole tree from `entries` (strictly ascending keys) into an
-  /// EMPTY tree: leaves are filled back to back at capacity with the
+  /// EMPTY tree: leaves are filled back to back to 7/8 of a page with the
   /// doubly-linked chain stitched as they are laid down, then the internal
   /// levels are assembled bottom-up — no top-down descents, no splits, no
   /// page ever touched twice. InvalidArgument if the tree is non-empty or
   /// the input is not strictly ascending. Insert/Erase work normally on
-  /// the result.
-  Status BulkLoadSorted(const std::vector<std::pair<Key, uint64_t>>& entries);
+  /// the result, and the free eighth absorbs the first inserts into each
+  /// leaf without a split.
+  Status BulkLoadSorted(const std::vector<Entry>& entries);
 
   /// Point lookup.
   Result<uint64_t> Get(const Key& key) const;

@@ -8,6 +8,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/dcheck.h"
+
 namespace ruidx {
 namespace storage {
 
@@ -45,10 +47,28 @@ size_t SerializedSize(const ElementRecord& record) {
          record.value.size();
 }
 
+/// A record must fit one heap page beside the page header and its slot.
+bool FitsHeapPage(const ElementRecord& record) {
+  return SerializedSize(record) + kHeapHeader + 2 <= kPageUsableSize;
+}
+
 /// The Bloom filter's key universe: hashes of encoded primary keys, so the
 /// filter, the store, and the fsck all derive membership the same way.
 uint64_t IdKeyHash(const BPlusTree::Key& key) {
   return Fnv1a64(key.data(), key.size());
+}
+
+/// Bytewise key order, one big-endian word at a time (the byte swap, as in
+/// the key codec below, assumes a little-endian host): the bulk load's three
+/// sorts spend most of their time comparing keys.
+bool EntryKeyLess(const BPlusTree::Entry& a, const BPlusTree::Entry& b) {
+  for (size_t off = 0; off + 8 <= BPlusTree::kKeySize; off += 8) {
+    uint64_t x, y;
+    std::memcpy(&x, a.key.data() + off, 8);
+    std::memcpy(&y, b.key.data() + off, 8);
+    if (x != y) return __builtin_bswap64(x) < __builtin_bswap64(y);
+  }
+  return a.key[BPlusTree::kKeySize - 1] < b.key[BPlusTree::kKeySize - 1];
 }
 
 void WriteU16(uint8_t** cursor, uint16_t v) {
@@ -454,10 +474,10 @@ Status ElementStore::LoadBloom(uint32_t head, uint32_t word_count,
 
 Result<uint64_t> ElementStore::AppendRecord(const ElementRecord& record,
                                             uint64_t path_term) {
-  size_t need = SerializedSize(record);
-  if (need + kHeapHeader + 2 > kPageUsableSize) {
+  if (!FitsHeapPage(record)) {
     return Status::CapacityExceeded("record larger than a page");
   }
+  size_t need = SerializedSize(record);
   uint8_t* page = nullptr;
   uint32_t page_id = current_heap_page_;
   if (page_id != kInvalidPage) {
@@ -630,67 +650,60 @@ Result<bool> ElementStore::Exists(const core::Ruid2Id& id) {
 
 Status ElementStore::BulkLoad(const core::Ruid2Scheme& scheme,
                               xml::Node* root) {
-  // Document order encodes to ascending keys, so the whole document goes
-  // through the sorted batch path: heap appends plus one sequential index
-  // build instead of one top-down Insert per node.
-  std::vector<ElementRecord> records;
-  // Preorder visits parents before children, so a depth-indexed stack of
-  // path terms always has the parent's term ready at depth-1.
-  std::vector<uint64_t> term_stack;
-  xml::PreorderTraverse(root, [&](xml::Node* n, int depth) {
+  // Every pass walks the DOM again, refilling one scratch record per node.
+  // Preorder visits parents before children, so depth-indexed stacks hold
+  // the parent's identifier and path term at depth-1.
+  RecordWalk walk = [&](const RecordVisitor& visit) {
     ElementRecord record;
-    record.id = scheme.label(n);
-    record.parent_id =
-        (n == root) ? record.id : scheme.label(n->parent());
-    record.node_type = static_cast<uint8_t>(n->type());
-    record.name = n->name();
-    if (!n->is_element()) record.value = n->value();
-    uint64_t term = depth == 0
-                        ? RootPathTerm(record.name)
-                        : ExtendPathTerm(term_stack[depth - 1], record.name);
-    term_stack.resize(depth + 1);
-    term_stack[depth] = term;
-    record.path_term = term;
-    records.push_back(std::move(record));
-    return true;
-  });
-  return BulkLoadRecords(records);
+    std::vector<const core::Ruid2Id*> id_stack;
+    std::vector<uint64_t> term_stack;
+    Status status = Status::OK();
+    xml::PreorderTraverse(root, [&](xml::Node* n, int depth) {
+      // Returning false prunes only this subtree, so the first error must
+      // also gate every later visit.
+      if (!status.ok()) return false;
+      const core::Ruid2Id& id = scheme.label(n);
+      record.id = id;
+      record.parent_id = depth == 0 ? id : *id_stack[depth - 1];
+      record.node_type = static_cast<uint8_t>(n->type());
+      record.name = n->name();
+      if (n->is_element()) {
+        record.value.clear();
+      } else {
+        record.value = n->value();
+      }
+      record.path_term =
+          depth == 0 ? RootPathTerm(record.name)
+                     : ExtendPathTerm(term_stack[depth - 1], record.name);
+      id_stack.resize(depth + 1);
+      id_stack[depth] = &id;
+      term_stack.resize(depth + 1);
+      term_stack[depth] = record.path_term;
+      status = visit(record, record.path_term);
+      return status.ok();
+    });
+    return status;
+  };
+  if (index_->entry_count() != 0) {
+    return walk([this](const ElementRecord& record, uint64_t) {
+      return Put(record);
+    });
+  }
+  return BulkBuild(scheme.label_count(), walk);
 }
 
 Status ElementStore::BulkLoadRecords(const std::vector<ElementRecord>& records) {
-  if (records.empty()) return Status::OK();
-  // The batch path needs an empty index and strictly ascending keys.
-  // Decide BEFORE appending anything: a mid-batch fallback would leave
-  // heap copies with no index entries.
-  bool batch = index_->entry_count() == 0;
-  std::vector<BPlusTree::Key> keys;
-  if (batch) {
-    keys.reserve(records.size());
-    for (const ElementRecord& record : records) {
-      auto key = EncodeIdKey(record.id);
-      if (!key.ok()) return key.status();
-      if (!keys.empty() && !(keys.back() < *key)) {
-        batch = false;
-        break;
-      }
-      keys.push_back(*key);
-    }
-  }
-  if (!batch) {
+  if (index_->entry_count() != 0) {
     for (const ElementRecord& record : records) {
       RUIDX_RETURN_NOT_OK(Put(record));
     }
     return Status::OK();
   }
-  // Resolve path terms and encode every posting key up front, so the first
-  // append happens only after the whole batch is known to encode. Document
-  // order puts parents before children, so a transient id→term map covers
-  // in-batch parent lookups without touching the (still empty) store.
+  // Resolve unset path terms the way a Put per record in batch order would
+  // (see ElementRecord::path_term): a parent loaded earlier in the batch
+  // extends its term; a parent outside the batch (another shard of a
+  // sharded store) leaves the bare name hash.
   std::vector<uint64_t> terms(records.size());
-  std::vector<std::pair<BPlusTree::Key, uint64_t>> name_postings;
-  std::vector<std::pair<BPlusTree::Key, uint64_t>> path_postings;
-  name_postings.reserve(records.size());
-  path_postings.reserve(records.size());
   std::unordered_map<core::Ruid2Id, uint64_t, core::Ruid2IdHash> term_of;
   term_of.reserve(records.size());
   for (size_t i = 0; i < records.size(); ++i) {
@@ -703,42 +716,95 @@ Status ElementStore::BulkLoadRecords(const std::vector<ElementRecord>& records) 
                  it != term_of.end()) {
         term = ExtendPathTerm(it->second, record.name);
       } else {
-        term = HashNameTerm(record.name);  // cross-shard parent (see Put)
+        term = HashNameTerm(record.name);
       }
     }
     terms[i] = term;
     term_of.emplace(record.id, term);
-    RUIDX_ASSIGN_OR_RETURN(
-        BPlusTree::Key name_key,
-        EncodePostingKey(HashNameTerm(record.name), record.id));
-    RUIDX_ASSIGN_OR_RETURN(BPlusTree::Key path_key,
-                           EncodePostingKey(term, record.id));
-    name_postings.emplace_back(name_key, 0);
-    path_postings.emplace_back(path_key, 0);
   }
-  std::vector<std::pair<BPlusTree::Key, uint64_t>> entries;
-  entries.reserve(records.size());
-  bloom_ = BloomFilter::ForExpectedKeys(records.size() * 2);
-  for (size_t i = 0; i < records.size(); ++i) {
-    RUIDX_ASSIGN_OR_RETURN(uint64_t location,
-                           AppendRecord(records[i], terms[i]));
-    entries.emplace_back(keys[i], location);
-    name_postings[i].second = location;
-    path_postings[i].second = location;
-    bloom_.Add(IdKeyHash(keys[i]));
+  return BulkBuild(records.size(), [&](const RecordVisitor& visit) {
+    for (size_t i = 0; i < records.size(); ++i) {
+      RUIDX_RETURN_NOT_OK(visit(records[i], terms[i]));
+    }
+    return Status::OK();
+  });
+}
+
+Status ElementStore::BulkBuild(size_t size_hint, const RecordWalk& walk) {
+  // One buffer serves all three trees in turn, so at most one (key,
+  // location) run is alive at a time. Its first use holds (primary key,
+  // input position).
+  std::vector<BPlusTree::Entry> entries;
+  entries.reserve(size_hint);
+  // Pass 1 validates everything an append or a tree insert could reject,
+  // before the first heap append: a failed batch leaves the store empty.
+  RUIDX_RETURN_NOT_OK(
+      walk([&](const ElementRecord& record, uint64_t path_term) -> Status {
+        RUIDX_ASSIGN_OR_RETURN(BPlusTree::Key key, EncodeIdKey(record.id));
+        RUIDX_RETURN_NOT_OK(EncodeIdKey(record.parent_id).status());
+        // Both posting keys carry the same identifier, so one encoding
+        // proves both fit.
+        RUIDX_RETURN_NOT_OK(EncodePostingKey(path_term, record.id).status());
+        if (!FitsHeapPage(record)) {
+          return Status::CapacityExceeded("record larger than a page");
+        }
+        entries.push_back(BPlusTree::Entry{key, entries.size()});
+        return Status::OK();
+      }));
+  if (entries.empty()) return Status::OK();
+  std::sort(entries.begin(), entries.end(), EntryKeyLess);
+  for (size_t i = 1; i < entries.size(); ++i) {
+    if (entries[i - 1].key == entries[i].key) {
+      return Status::InvalidArgument("bulk load repeats id " +
+                                     DecodeIdKey(entries[i].key).ToString());
+    }
+  }
+  // Pass 2: the heap, in input order.
+  std::vector<uint64_t> locations;
+  locations.reserve(entries.size());
+  RUIDX_RETURN_NOT_OK(
+      walk([&](const ElementRecord& record, uint64_t path_term) -> Status {
+        RUIDX_ASSIGN_OR_RETURN(uint64_t location,
+                               AppendRecord(record, path_term));
+        locations.push_back(location);
+        return Status::OK();
+      }));
+  RUIDX_DCHECK(locations.size() == entries.size(),
+               "bulk-load passes disagree on the record count");
+  // The primary tree. The filter is sized for the keys loaded; Put grows
+  // it when later inserts overload it.
+  bloom_ = BloomFilter::ForExpectedKeys(entries.size());
+  for (BPlusTree::Entry& entry : entries) {
+    bloom_.Add(IdKeyHash(entry.key));
+    entry.value = locations[entry.value];
   }
   RUIDX_RETURN_NOT_OK(index_->BulkLoadSorted(entries));
-  // Posting keys lead with the term hash, so they arrive in hash order —
-  // one sort each buys the B+tree's sequential batch build. Identifiers
-  // are unique, hence the keys are strictly ascending after sorting.
-  auto by_key = [](const std::pair<BPlusTree::Key, uint64_t>& a,
-                   const std::pair<BPlusTree::Key, uint64_t>& b) {
-    return a.first < b.first;
+  // Passes 3 and 4: one posting tree each. Posting keys lead with the term
+  // hash, so each run is sorted before its build.
+  auto build_postings =
+      [&](SecondaryIndex* index,
+          uint64_t (*term_for)(const ElementRecord&, uint64_t)) -> Status {
+    entries.clear();
+    RUIDX_RETURN_NOT_OK(
+        walk([&](const ElementRecord& record, uint64_t path_term) -> Status {
+          RUIDX_ASSIGN_OR_RETURN(
+              BPlusTree::Key key,
+              EncodePostingKey(term_for(record, path_term), record.id));
+          entries.push_back(
+              BPlusTree::Entry{key, locations[entries.size()]});
+          return Status::OK();
+        }));
+    std::sort(entries.begin(), entries.end(), EntryKeyLess);
+    return index->BulkLoadSorted(entries);
   };
-  std::sort(name_postings.begin(), name_postings.end(), by_key);
-  std::sort(path_postings.begin(), path_postings.end(), by_key);
-  RUIDX_RETURN_NOT_OK(name_index_->BulkLoadSorted(name_postings));
-  return path_index_->BulkLoadSorted(path_postings);
+  RUIDX_RETURN_NOT_OK(build_postings(
+      name_index_.get(), [](const ElementRecord& record, uint64_t) {
+        return HashNameTerm(record.name);
+      }));
+  return build_postings(path_index_.get(),
+                        [](const ElementRecord&, uint64_t path_term) {
+                          return path_term;
+                        });
 }
 
 Status ElementStore::ScanArea(

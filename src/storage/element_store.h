@@ -152,14 +152,22 @@ class ElementStore {
   /// itself keeps being maintained, so re-enabling is always safe.
   void SetBloomEnabled(bool enabled) { bloom_enabled_ = enabled; }
 
-  /// Loads every labeled node of `doc` under `scheme`.
+  /// Loads every labeled node of the subtree at `root` under `scheme`,
+  /// streamed from the DOM in preorder (no record vector is built). Into an
+  /// empty store this is the batch path of BulkLoadRecords; into a
+  /// non-empty one, a Put per node.
   Status BulkLoad(const core::Ruid2Scheme& scheme, xml::Node* root);
 
-  /// Inserts a batch of records. When the store is empty and the batch is
-  /// already in ascending identifier order (labels emitted in document
-  /// order always are), the index is built by the B+tree's sequential
-  /// batch path — leaves filled back to back, no top-down descents —
-  /// otherwise this degrades to a Put loop.
+  /// Inserts a batch of records in any order. Path terms left unset resolve
+  /// as Put would resolve them one record at a time in batch order. Into an
+  /// empty store, every key is validated first (CapacityExceeded or, for a
+  /// repeated id, InvalidArgument, with the store left empty), the heap
+  /// records are appended in batch order, and each of the three trees is
+  /// built bottom-up from its own sorted (key, location) run — leaves filled
+  /// back to back, no top-down descents. Identifier order is not document
+  /// order (a preorder walk returns from a child area, whose global index
+  /// is larger, to its parent's), so the batch is sorted, never assumed
+  /// sorted. Into a non-empty store this is a Put loop.
   Status BulkLoadRecords(const std::vector<ElementRecord>& records);
 
   /// Scans all records of one UID-local area (one identifier-prefix range).
@@ -187,8 +195,8 @@ class ElementStore {
   Status ScanPathTerm(uint64_t term,
                       const std::function<bool(const ElementRecord&)>& fn);
 
-  /// Raw name-index postings in (term, document-order) key order — the
-  /// fsck coverage invariants walk these.
+  /// Raw name-index postings in (term, identifier) key order — the fsck
+  /// coverage invariants walk these.
   Status ScanNamePostings(
       const std::function<bool(uint64_t term, const core::Ruid2Id& id,
                                uint64_t location)>& fn) const;
@@ -282,6 +290,18 @@ class ElementStore {
   friend class ElementStoreTestPeer;
 
   ElementStore() = default;
+
+  /// One pass over a bulk load's records in input order: `visit` gets each
+  /// record with its resolved path term, and a non-OK status from it ends
+  /// the pass and is returned. Every pass yields the same records.
+  using RecordVisitor =
+      std::function<Status(const ElementRecord& record, uint64_t path_term)>;
+  using RecordWalk = std::function<Status(const RecordVisitor& visit)>;
+
+  /// The batch path of BulkLoad and BulkLoadRecords into an empty store:
+  /// one validating pass, one heap-append pass, then one pass per posting
+  /// tree. `size_hint` reserves the key buffer.
+  Status BulkBuild(size_t size_hint, const RecordWalk& walk);
 
   Result<uint64_t> AppendRecord(const ElementRecord& record,
                                 uint64_t path_term);

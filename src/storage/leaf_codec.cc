@@ -74,9 +74,14 @@ void SetRestart(uint8_t* page, size_t j, uint16_t offset, uint16_t index) {
   StoreU16(page + RestartPos(j) + 2, index);
 }
 
-/// Length of the common prefix of two keys.
+/// Length of the common prefix of two keys (equal 8-byte words skipped
+/// whole: sibling keys share most of their 33 bytes).
 size_t CommonLen(const Key& a, const Key& b) {
   size_t n = 0;
+  while (n + 8 <= kKeySize &&
+         std::memcmp(a.data() + n, b.data() + n, 8) == 0) {
+    n += 8;
+  }
   while (n < kKeySize && a[n] == b[n]) ++n;
   return n;
 }
@@ -225,19 +230,37 @@ bool BuildLeaf(uint8_t* page, const Entry* entries, size_t n, uint32_t next,
   return true;
 }
 
-size_t MaxLeafTake(const Entry* entries, size_t i, size_t n) {
+size_t MaxLeafTake(const Entry* entries, size_t i, size_t n, size_t budget) {
   RUIDX_DCHECK(i < n, "MaxLeafTake past the end");
-  // Largest k with EncodedSize <= page, by binary search; k = 1 always fits.
-  size_t lo = 1, hi = n - i;
-  while (lo < hi) {
-    size_t mid = (lo + hi + 1) / 2;
-    if (EncodedSize(entries, i, mid) <= kPageUsableSize) {
-      lo = mid;
-    } else {
-      hi = mid - 1;
-    }
+  RUIDX_DCHECK(budget <= kPageUsableSize, "MaxLeafTake budget over a page");
+  // One forward pass. The page prefix of consecutive ascending keys is the
+  // least shared length of any adjacent pair among them, so each
+  // candidate count's EncodedSize follows from the previous one after one
+  // CommonLen against the predecessor: run heads store 33 - prefix key
+  // bytes, every other entry 33 - shared. The size grows strictly with the
+  // count, so the first count over budget ends the scan, and at most
+  // budget / (kEntryFixed + 1) entries are ever compared — every entry after
+  // the first stores at least one suffix byte.
+  size_t prefix = kKeySize;
+  size_t non_head_bytes = 0;
+  size_t k = 1;
+  for (; i + k < n; ++k) {
+    size_t shared = CommonLen(entries[i + k - 1].key, entries[i + k].key);
+    size_t next_prefix = std::min(prefix, shared);
+    size_t next_non_head =
+        non_head_bytes +
+        (k % kRestartInterval != 0 ? kKeySize - shared : 0);
+    size_t runs = RestartsFor(k + 1);
+    size_t bytes = kPrefixOff + next_prefix + 2 + 4 * runs +
+                   (k + 1) * kEntryFixed + runs * (kKeySize - next_prefix) +
+                   next_non_head;
+    if (bytes > budget) break;
+    prefix = next_prefix;
+    non_head_bytes = next_non_head;
   }
-  return lo;
+  RUIDX_DCHECK(k == 1 || EncodedSize(entries, i, k) <= budget,
+               "MaxLeafTake overshot its budget");
+  return k;
 }
 
 void KeyAt(const uint8_t* page, size_t i, Key* out) {

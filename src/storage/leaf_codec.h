@@ -75,9 +75,11 @@ bool IsCompressed(const uint8_t* page);
 bool BuildLeaf(uint8_t* page, const Entry* entries, size_t n, uint32_t next,
                uint32_t prev);
 
-/// Number of entries of `entries[i..n)` that fit in one compressed page
-/// (at least 1 for i < n; a single entry always fits).
-size_t MaxLeafTake(const Entry* entries, size_t i, size_t n);
+/// The largest number of entries of `entries[i..n)` (strictly ascending)
+/// whose compressed encoding takes at most `budget` bytes, `budget` being at
+/// most a page. At least 1 for i < n: a single entry always fits a page.
+/// The work is proportional to the count returned, not to n - i.
+size_t MaxLeafTake(const Entry* entries, size_t i, size_t n, size_t budget);
 
 /// The key of slot `i` (restart-directory seek + run decode).
 void KeyAt(const uint8_t* page, size_t i, Key* out);

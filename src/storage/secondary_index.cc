@@ -90,7 +90,7 @@ Status SecondaryIndex::Remove(uint64_t term, const core::Ruid2Id& id) {
 }
 
 Status SecondaryIndex::BulkLoadSorted(
-    const std::vector<std::pair<BPlusTree::Key, uint64_t>>& entries) {
+    const std::vector<BPlusTree::Entry>& entries) {
   return tree_.BulkLoadSorted(entries);
 }
 

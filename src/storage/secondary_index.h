@@ -5,7 +5,7 @@
 // two index kinds Mahboubi & Darmont's survey names as what turns a
 // labeling scheme into a query engine.
 //
-// Posting key layout (byte order = (term, document order)):
+// Posting key layout (byte order = (term, identifier order)):
 //   [0..8)    u64 term hash, big-endian
 //   [8..20)   global index, 12-byte big-endian
 //   [20..32)  local index, 12-byte big-endian
@@ -14,10 +14,11 @@
 // Identifier components above 96 bits fail with CapacityExceeded — the
 // primary key caps at 128, and a document that deep should use more ruid
 // levels long before either bound matters. Within one term the posting
-// keys sort exactly like primary keys, so a term scan yields document
-// order for free. Term hashes can collide (8 bytes of FNV-1a); readers
-// filter postings against the fetched record, so a collision costs one
-// wasted record read, never a wrong answer.
+// keys sort exactly like primary keys, so a term scan yields identifier
+// order — document order within each area, not across areas — for free.
+// Term hashes can collide (8 bytes of FNV-1a); readers filter postings
+// against the fetched record, so a collision costs one wasted record read,
+// never a wrong answer.
 //
 // The posting value is the record's heap location, letting an index-seeded
 // step fetch matching records without a second descent through the primary
@@ -79,16 +80,15 @@ class SecondaryIndex {
 
   /// Builds the whole index from ascending posting entries into an empty
   /// tree (the B+tree's sequential batch path).
-  Status BulkLoadSorted(
-      const std::vector<std::pair<BPlusTree::Key, uint64_t>>& entries);
+  Status BulkLoadSorted(const std::vector<BPlusTree::Entry>& entries);
 
-  /// Scans the postings of one term in document order. Return false from
+  /// Scans the postings of one term in identifier order. Return false from
   /// the callback to stop early.
   Status ScanTerm(uint64_t term,
                   const std::function<bool(const core::Ruid2Id& id,
                                            uint64_t location)>& fn) const;
 
-  /// Scans every posting in (term, document-order) key order — the fsck
+  /// Scans every posting in (term, identifier) key order — the fsck
   /// coverage checks walk this.
   Status ScanAll(const std::function<bool(const BPlusTree::Key& key,
                                           uint64_t term,

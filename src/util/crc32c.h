@@ -1,7 +1,8 @@
 // CRC32C (Castagnoli polynomial 0x1EDC6F41, reflected 0x82F63B78) — the
 // checksum used by the storage durability layer for WAL records and page
-// trailers. Software slice-by-one table implementation; fast enough for the
-// page sizes involved and has no ISA requirements.
+// trailers. Portable software slicing-by-8 (eight table lookups per eight
+// input bytes): no ISA requirements and no CPU dispatch, so every host
+// computes the same values through the same code.
 #ifndef RUIDX_UTIL_CRC32C_H_
 #define RUIDX_UTIL_CRC32C_H_
 

@@ -275,8 +275,8 @@ TEST_F(BPlusTreeTest, DescendsThroughMultipleLevels) {
 
 TEST_F(BPlusTreeTest, BulkLoadSortedBuildsValidTree) {
   const uint64_t n = 5000;
-  std::vector<std::pair<BPlusTree::Key, uint64_t>> entries;
-  for (uint64_t i = 0; i < n; ++i) entries.emplace_back(MakeKey(i), i * 10);
+  std::vector<BPlusTree::Entry> entries;
+  for (uint64_t i = 0; i < n; ++i) entries.push_back({MakeKey(i), i * 10});
   ASSERT_TRUE(tree_->BulkLoadSorted(entries).ok());
   EXPECT_EQ(tree_->entry_count(), n);
   EXPECT_TRUE(tree_->Validate().ok());
@@ -304,26 +304,26 @@ TEST_F(BPlusTreeTest, BulkLoadSortedBuildsValidTree) {
 
 TEST_F(BPlusTreeTest, BulkLoadSortedRejectsBadInput) {
   // Unsorted (and duplicate) input is refused before any page is touched.
-  std::vector<std::pair<BPlusTree::Key, uint64_t>> unsorted = {
+  std::vector<BPlusTree::Entry> unsorted = {
       {MakeKey(2), 1}, {MakeKey(1), 2}};
   EXPECT_TRUE(tree_->BulkLoadSorted(unsorted).IsInvalidArgument());
-  std::vector<std::pair<BPlusTree::Key, uint64_t>> dup = {{MakeKey(3), 1},
+  std::vector<BPlusTree::Entry> dup = {{MakeKey(3), 1},
                                                           {MakeKey(3), 2}};
   EXPECT_TRUE(tree_->BulkLoadSorted(dup).IsInvalidArgument());
   EXPECT_EQ(tree_->entry_count(), 0u);
   // A non-empty tree is refused too: the batch path only builds from
   // scratch.
   ASSERT_TRUE(tree_->Insert(MakeKey(1), 1).ok());
-  std::vector<std::pair<BPlusTree::Key, uint64_t>> more = {{MakeKey(5), 5}};
+  std::vector<BPlusTree::Entry> more = {{MakeKey(5), 5}};
   EXPECT_TRUE(tree_->BulkLoadSorted(more).IsInvalidArgument());
   EXPECT_EQ(tree_->entry_count(), 1u);
 }
 
 TEST_F(BPlusTreeTest, BulkLoadSortedSupportsLaterUpdates) {
   const uint64_t n = 1500;
-  std::vector<std::pair<BPlusTree::Key, uint64_t>> entries;
+  std::vector<BPlusTree::Entry> entries;
   for (uint64_t i = 0; i < n; ++i) {
-    entries.emplace_back(MakeKey(i * 2), i);  // even keys only
+    entries.push_back({MakeKey(i * 2), i});  // even keys only
   }
   ASSERT_TRUE(tree_->BulkLoadSorted(entries).ok());
   // Ordinary inserts (odd keys, forcing splits of the packed leaves),

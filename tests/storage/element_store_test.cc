@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "analysis/invariant_checker.h"
 #include "testutil.h"
 #include "xml/generator.h"
 
@@ -235,6 +239,172 @@ TEST(ElementStoreEdgeTest, LargeDocumentManyPages) {
     ASSERT_TRUE(record.ok());
     EXPECT_EQ(record->name, nodes[i]->name());
   }
+}
+
+// An identifier sorts by area first — (global, local, flag) — and a
+// preorder walk returns from a child area, whose global index is larger, to
+// its parent's. Document order is therefore not identifier order on any
+// multi-area document, and the bulk load must not depend on it. About 15k
+// nodes in well over a thousand areas under the default partitioning.
+std::unique_ptr<xml::Document> ManyAreaXmark() {
+  xml::XmarkConfig config;
+  config.items = 666;
+  config.people = 500;
+  config.open_auctions = 400;
+  config.closed_auctions = 250;
+  config.categories = 102;
+  config.seed = 7;
+  return xml::GenerateXmarkLike(config);
+}
+
+ElementRecord RecordOf(const core::Ruid2Scheme& scheme, xml::Node* root,
+                       xml::Node* n) {
+  ElementRecord record;
+  record.id = scheme.label(n);
+  record.parent_id = n == root ? record.id : scheme.label(n->parent());
+  record.node_type = static_cast<uint8_t>(n->type());
+  record.name = n->name();
+  if (!n->is_element()) record.value = n->value();
+  return record;
+}
+
+std::string Describe(const ElementRecord& r) {
+  return r.id.ToString() + " <- " + r.parent_id.ToString() + " " +
+         std::to_string(r.node_type) + " " + r.name + "=" + r.value + " @" +
+         std::to_string(r.path_term);
+}
+
+struct StoreContents {
+  std::vector<std::string> records;  // ScanAll, key order
+  std::vector<std::pair<uint64_t, std::string>> name_postings;
+  std::vector<std::pair<uint64_t, std::string>> path_postings;
+};
+
+StoreContents ContentsOf(ElementStore* store) {
+  StoreContents out;
+  EXPECT_TRUE(store
+                  ->ScanAll([&](const BPlusTree::Key& key,
+                                const ElementRecord& record) {
+                    EXPECT_EQ(DecodeIdKey(key), record.id);
+                    out.records.push_back(Describe(record));
+                    return true;
+                  })
+                  .ok());
+  // Heap locations depend on how index pages interleave with heap pages,
+  // so postings compare by (term, id) only.
+  EXPECT_TRUE(store
+                  ->ScanNamePostings([&](uint64_t term, const core::Ruid2Id& id,
+                                         uint64_t) {
+                    out.name_postings.emplace_back(term, id.ToString());
+                    return true;
+                  })
+                  .ok());
+  EXPECT_TRUE(store
+                  ->ScanPathPostings([&](uint64_t term, const core::Ruid2Id& id,
+                                         uint64_t) {
+                    out.path_postings.emplace_back(term, id.ToString());
+                    return true;
+                  })
+                  .ok());
+  return out;
+}
+
+TEST(ElementStoreBulkLoadTest, MatchesPutLoopOnManyAreaDocument) {
+  auto doc = ManyAreaXmark();
+  core::Ruid2Scheme scheme;
+  scheme.Build(doc->root());
+  std::vector<xml::Node*> nodes = ruidx::testing::AllNodes(doc->root());
+  size_t order_breaks = 0;
+  for (size_t i = 1; i < nodes.size(); ++i) {
+    auto prev = EncodeIdKey(scheme.label(nodes[i - 1]));
+    auto cur = EncodeIdKey(scheme.label(nodes[i]));
+    ASSERT_TRUE(prev.ok() && cur.ok());
+    if (!(*prev < *cur)) ++order_breaks;
+  }
+  ASSERT_GT(order_breaks, 100u) << "the document must span many areas";
+
+  std::string bulk_path = ::testing::TempDir() + "/ruidx_bulk_built.db";
+  std::string put_path = ::testing::TempDir() + "/ruidx_put_built.db";
+  for (const std::string& path : {bulk_path, put_path}) {
+    std::remove(path.c_str());
+    std::remove((path + ".wal").c_str());
+  }
+  auto bulk = ElementStore::Create(bulk_path, 32);
+  auto put = ElementStore::Create(put_path, 32);
+  ASSERT_TRUE(bulk.ok() && put.ok());
+  ASSERT_TRUE((*bulk)->BulkLoad(scheme, doc->root()).ok());
+  // The reference: one Put per node in document order, path terms left for
+  // Put to derive from the already stored parent.
+  for (xml::Node* n : nodes) {
+    ASSERT_TRUE((*put)->Put(RecordOf(scheme, doc->root(), n)).ok());
+  }
+  ASSERT_TRUE((*bulk)->Flush().ok());
+  ASSERT_TRUE((*put)->Flush().ok());
+
+  StoreContents bulk_contents = ContentsOf(bulk->get());
+  StoreContents put_contents = ContentsOf(put->get());
+  EXPECT_EQ(bulk_contents.records.size(), nodes.size());
+  EXPECT_EQ(bulk_contents.records, put_contents.records);
+  EXPECT_EQ(bulk_contents.name_postings, put_contents.name_postings);
+  EXPECT_EQ(bulk_contents.path_postings, put_contents.path_postings);
+  for (ElementStore* store : {bulk->get(), put->get()}) {
+    Status check = analysis::CheckStoreInvariants(scheme, doc->root(), store);
+    EXPECT_TRUE(check.ok()) << check.ToString();
+  }
+
+  // Bottom-up leaves at 7/8 fill against leaves split half-and-half.
+  uint64_t bulk_pages = std::filesystem::file_size(bulk_path) / kPageSize;
+  uint64_t put_pages = std::filesystem::file_size(put_path) / kPageSize;
+  EXPECT_LE(bulk_pages * 10, put_pages * 8)
+      << bulk_pages << " bulk-built pages vs " << put_pages << " put-built";
+  bulk->reset();
+  put->reset();
+  for (const std::string& path : {bulk_path, put_path}) {
+    std::remove(path.c_str());
+    std::remove((path + ".wal").c_str());
+  }
+}
+
+TEST(ElementStoreBulkLoadTest, FailedBatchLeavesStoreEmpty) {
+  auto doc = ManyAreaXmark();
+  core::Ruid2Scheme scheme;
+  scheme.Build(doc->root());
+  std::vector<ElementRecord> records;
+  for (xml::Node* n : ruidx::testing::AllNodes(doc->root())) {
+    records.push_back(RecordOf(scheme, doc->root(), n));
+  }
+  auto created = ElementStore::Create("", 32);
+  ASSERT_TRUE(created.ok());
+  ElementStore* store = created->get();
+  uint64_t allocations = store->pager_stats().allocations;
+
+  // Last in document order: a global index past 96 bits fits the primary
+  // key but not a posting key.
+  std::vector<ElementRecord> too_wide = records;
+  ElementRecord wide = records.back();
+  wide.id.global = BigUint::Pow(BigUint(2), 100);
+  wide.parent_id = records.front().id;
+  too_wide.push_back(wide);
+  Status status = store->BulkLoadRecords(too_wide);
+  EXPECT_TRUE(status.IsCapacityExceeded()) << status.ToString();
+  EXPECT_EQ(store->record_count(), 0u);
+  EXPECT_EQ(store->secondary_stats().name_postings, 0u);
+  EXPECT_EQ(store->secondary_stats().path_postings, 0u);
+
+  // A repeated identifier is refused the same way.
+  std::vector<ElementRecord> repeated = records;
+  repeated.push_back(records[records.size() / 2]);
+  status = store->BulkLoadRecords(repeated);
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_EQ(store->record_count(), 0u);
+  EXPECT_EQ(store->pager_stats().allocations, allocations)
+      << "a refused batch must not append to the heap";
+
+  // The store is still empty, so the valid batch takes the batch path.
+  ASSERT_TRUE(store->BulkLoadRecords(records).ok());
+  EXPECT_EQ(store->record_count(), records.size());
+  Status check = store->VerifySecondaryIndexes();
+  EXPECT_TRUE(check.ok()) << check.ToString();
 }
 
 TEST(ElementStoreBloomTest, FalsePositiveRateRecoversAfterChurn) {

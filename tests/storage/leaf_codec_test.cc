@@ -91,7 +91,8 @@ TEST(LeafCodecTest, RandomCorpusRoundTripsAndSearches) {
   std::mt19937_64 rng(20260808);
   for (int round = 0; round < 20; ++round) {
     std::vector<Entry> entries = RandomCorpus(&rng, 1 + round * 9);
-    size_t take = leaf::MaxLeafTake(entries.data(), 0, entries.size());
+    size_t take = leaf::MaxLeafTake(entries.data(), 0, entries.size(),
+                                   kPageUsableSize);
     entries.resize(take);
     std::vector<uint8_t> page(kPageUsableSize, 0);
     ASSERT_TRUE(
@@ -153,7 +154,8 @@ TEST(LeafCodecTest, FullPrefixCollisionKeys) {
   for (int t = 0; t < 200; ++t) {
     entries.push_back({MakeKey(5, 123, static_cast<uint8_t>(t)), 1000u + t});
   }
-  size_t take = leaf::MaxLeafTake(entries.data(), 0, entries.size());
+  size_t take = leaf::MaxLeafTake(entries.data(), 0, entries.size(),
+                                   kPageUsableSize);
   ASSERT_EQ(take, entries.size()) << "200 one-byte suffixes must fit";
   std::vector<uint8_t> page(kPageUsableSize, 0);
   ASSERT_TRUE(leaf::BuildLeaf(page.data(), entries.data(), entries.size(), 0,
@@ -167,15 +169,51 @@ TEST(LeafCodecTest, FullPrefixCollisionKeys) {
   EXPECT_LT(stats.key_bytes_stored, stats.key_bytes_raw / 5);
 }
 
+/// Bytes a compressed leaf's encoding occupies, read from its documented
+/// layout: entries end at data_end ([14..16)); the restart directory, four
+/// bytes a run, and its u16 count sit at the page tail.
+size_t EncodedBytes(const uint8_t* page) {
+  uint16_t data_end = 0;
+  uint16_t runs = 0;
+  std::memcpy(&data_end, page + 14, 2);
+  std::memcpy(&runs, page + kPageUsableSize - 2, 2);
+  return data_end + 2 + 4 * static_cast<size_t>(runs);
+}
+
 TEST(LeafCodecTest, MaxLeafTakeIsExact) {
   std::mt19937_64 rng(99);
   std::vector<Entry> entries = RandomCorpus(&rng, 2000);
-  size_t take = leaf::MaxLeafTake(entries.data(), 0, entries.size());
-  ASSERT_LT(take, entries.size()) << "need an overfull corpus for this test";
+  const size_t n = entries.size();
+  size_t take = leaf::MaxLeafTake(entries.data(), 0, n, kPageUsableSize);
+  ASSERT_LT(take, n) << "need an overfull corpus for this test";
   std::vector<uint8_t> page(kPageUsableSize, 0);
   EXPECT_TRUE(leaf::BuildLeaf(page.data(), entries.data(), take, 0, 0));
   EXPECT_FALSE(leaf::BuildLeaf(page.data(), entries.data(), take + 1, 0, 0))
       << "MaxLeafTake must be the largest fitting count";
+  // Against byte budgets below a page, from starts on and off restart
+  // boundaries: the count returned encodes within the budget, and one entry
+  // more does not (or does not fit a page at all).
+  for (size_t budget : {size_t{kPageUsableSize} * 7 / 8, size_t{1024},
+                        size_t{200}}) {
+    for (size_t start : {size_t{0}, size_t{1}, size_t{15}, size_t{16},
+                         size_t{17}, size_t{999}}) {
+      size_t k = leaf::MaxLeafTake(entries.data(), start, n, budget);
+      ASSERT_LT(start + k, n);
+      ASSERT_TRUE(
+          leaf::BuildLeaf(page.data(), entries.data() + start, k, 0, 0));
+      EXPECT_LE(EncodedBytes(page.data()), budget)
+          << "budget " << budget << " start " << start;
+      if (leaf::BuildLeaf(page.data(), entries.data() + start, k + 1, 0, 0)) {
+        EXPECT_GT(EncodedBytes(page.data()), budget)
+            << "budget " << budget << " start " << start << " took " << k;
+      }
+    }
+  }
+  // Fewer entries left than fit: all of them. A budget below a single
+  // entry's encoding still takes one.
+  EXPECT_EQ(leaf::MaxLeafTake(entries.data(), n - 3, n, kPageUsableSize), 3u);
+  EXPECT_EQ(leaf::MaxLeafTake(entries.data(), n - 1, n, kPageUsableSize), 1u);
+  EXPECT_EQ(leaf::MaxLeafTake(entries.data(), 0, n, 10), 1u);
 }
 
 TEST(LeafCodecTest, InsertEraseAtRestartEdges) {
