@@ -1,19 +1,14 @@
 // E13 — secondary indexes on the query path (Sec. 4 "database file/table
-// selection" taken further): the same binary answers point gets, name
-// steps, and descendant (`//`) steps with the secondary indexes switched
-// on and off, so BENCH_index.json records how much of the query cost the
-// name index, path index, and per-shard Bloom filters remove on each
-// topology. CI floors: indexed descendant steps must beat the full
-// enumeration >= 5x on the uniform topology, and Bloom pruning must skip
-// >= 90% of candidate shards on point-get misses.
-#include <algorithm>
+// selection" taken further): the same binary answers name steps and
+// descendant (`//`) steps with the name and path indexes switched on and
+// off, so BENCH_index.json records how much of the query cost they remove
+// on each topology. CI floor: indexed descendant steps must beat the full
+// enumeration >= 5x on the uniform topology.
 #include <chrono>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "bench_common.h"
-#include "storage/sharded_store.h"
 #include "xpath/name_index.h"
 #include "xpath/path_index.h"
 #include "xpath/ruid_eval.h"
@@ -24,7 +19,6 @@ namespace {
 
 constexpr uint64_t kScale = 20000;
 constexpr int kRepeats = 3;
-constexpr size_t kPointGets = 2000;
 
 /// Wall-clock milliseconds of the best of kRepeats runs of fn().
 template <typename Fn>
@@ -57,13 +51,10 @@ constexpr TopologyCase kCases[] = {
 struct Fixture {
   std::unique_ptr<xml::Document> doc;
   core::Ruid2Scheme scheme;
-  std::unique_ptr<storage::ShardedElementStore> store;
   std::unique_ptr<xpath::NameIndex> name_index;
   std::unique_ptr<xpath::PathIndex> path_index;
   std::unique_ptr<xpath::RuidEvaluator> plain;    // enumeration paths only
   std::unique_ptr<xpath::RuidEvaluator> indexed;  // name + path index
-  std::vector<core::Ruid2Id> hit_ids;
-  std::vector<core::Ruid2Id> miss_ids;
 
   explicit Fixture(const std::string& topology) : scheme(DefaultAreas()) {
     doc = MakeTopology(topology, kScale);
@@ -74,27 +65,6 @@ struct Fixture {
     indexed = std::make_unique<xpath::RuidEvaluator>(doc.get(), &scheme);
     indexed->SetNameIndex(name_index.get());
     indexed->SetPathIndex(path_index.get());
-    store = storage::ShardedElementStore::Create("").MoveValueUnsafe();
-    (void)store->BulkLoad(scheme, doc->root());
-    // Evenly sampled stored identifiers (hits) and, for each, a same-area
-    // identifier no node carries (miss): the local component is pushed far
-    // past any sibling enumeration, so every shard of the area is a
-    // candidate and only the Bloom filters stand between the lookup and
-    // the candidates' B+trees.
-    std::vector<xml::Node*> elements;
-    xml::PreorderTraverse(doc->root(), [&](xml::Node* n, int) {
-      if (n->is_element()) elements.push_back(n);
-      return true;
-    });
-    size_t stride = std::max<size_t>(1, elements.size() / kPointGets);
-    for (size_t i = 0; i < elements.size(); i += stride) {
-      const core::Ruid2Id& id = scheme.label(elements[i]);
-      hit_ids.push_back(id);
-      core::Ruid2Id miss = id;
-      miss.local += uint64_t{1} << 20;
-      miss.is_area_root = false;
-      miss_ids.push_back(miss);
-    }
   }
 };
 
@@ -103,23 +73,9 @@ Fixture& UniformFixture() {
   return fixture;
 }
 
-/// GetById over `ids` with Bloom pruning on/off; returns {ms_on, ms_off}
-/// and leaves pruning re-enabled.
-std::pair<double, double> TimePointGets(Fixture& fixture,
-                                        const std::vector<core::Ruid2Id>& ids) {
-  auto probe = [&fixture, &ids]() {
-    for (const core::Ruid2Id& id : ids) (void)fixture.store->GetById(id);
-  };
-  double ms_on = TimeMs(probe);
-  fixture.store->SetBloomPruning(false);
-  double ms_off = TimeMs(probe);
-  fixture.store->SetBloomPruning(true);
-  return {ms_on, ms_off};
-}
-
 void IndexTables() {
   Banner("E13: secondary indexes on the query path",
-         "index-on vs index-off point get / name step / descendant step");
+         "index-on vs index-off name step / descendant step");
   BenchJsonWriter json("index");
 
   TablePrinter steps(
@@ -127,10 +83,6 @@ void IndexTables() {
       std::to_string(kRepeats) + ")");
   steps.SetHeader({"topology", "query", "results", "indexed ms", "scan ms",
                    "speedup", "agree"});
-  TablePrinter gets("sharded point gets, Bloom pruning on vs off (" +
-                    std::to_string(kPointGets) + " lookups)");
-  gets.SetHeader({"topology", "kind", "on ms", "off ms", "speedup",
-                  "shard skip %"});
 
   for (const TopologyCase& tc : kCases) {
     std::string suffix = std::string("_") + tc.name;
@@ -140,8 +92,6 @@ void IndexTables() {
     Fixture& fixture = is_uniform ? UniformFixture() : *local;
     json.Metric("nodes" + suffix,
                 static_cast<double>(fixture.scheme.label_count()));
-    json.Metric("shards" + suffix,
-                static_cast<double>(fixture.store->shard_count()));
 
     // Name-step and descendant-step queries: same evaluator class, with
     // and without the indexes; results must agree exactly.
@@ -169,63 +119,9 @@ void IndexTables() {
                     TablePrinter::FormatDouble(ms_off, 3),
                     TablePrinter::FormatDouble(speedup), agree ? "yes" : "NO"});
     }
-
-    // Miss-probe accounting first, on its own stats window: with pruning
-    // on, the Bloom filters should veto nearly every candidate shard.
-    fixture.store->ResetStats();
-    for (const core::Ruid2Id& id : fixture.miss_ids) {
-      (void)fixture.store->GetById(id);
-    }
-    auto stats = fixture.store->probe_stats();
-    double skip_ratio =
-        stats.candidate_shards == 0
-            ? 0.0
-            : static_cast<double>(stats.bloom_skips) /
-                  static_cast<double>(stats.candidate_shards);
-    uint64_t pages_on = fixture.store->logical_page_accesses();
-    json.Metric("bloom_skip_ratio_miss" + suffix, skip_ratio);
-    json.Metric("candidate_shards_per_miss" + suffix,
-                stats.lookups == 0
-                    ? 0.0
-                    : static_cast<double>(stats.candidate_shards) /
-                          static_cast<double>(stats.lookups));
-    // Page-access ledger for the same misses without pruning: what every
-    // lookup would pay descending each candidate's B+tree.
-    fixture.store->SetBloomPruning(false);
-    fixture.store->ResetStats();
-    for (const core::Ruid2Id& id : fixture.miss_ids) {
-      (void)fixture.store->GetById(id);
-    }
-    uint64_t pages_off = fixture.store->logical_page_accesses();
-    fixture.store->SetBloomPruning(true);
-    json.Metric("point_get_miss_pages_on" + suffix,
-                static_cast<double>(pages_on));
-    json.Metric("point_get_miss_pages_off" + suffix,
-                static_cast<double>(pages_off));
-
-    auto [hit_on, hit_off] = TimePointGets(fixture, fixture.hit_ids);
-    auto [miss_on, miss_off] = TimePointGets(fixture, fixture.miss_ids);
-    json.Metric("point_get_hit_ms_on" + suffix, hit_on, "ms");
-    json.Metric("point_get_hit_ms_off" + suffix, hit_off, "ms");
-    json.Metric("point_get_hit_speedup" + suffix,
-                hit_on > 0 ? hit_off / hit_on : 0.0, "x");
-    json.Metric("point_get_miss_ms_on" + suffix, miss_on, "ms");
-    json.Metric("point_get_miss_ms_off" + suffix, miss_off, "ms");
-    json.Metric("point_get_miss_speedup" + suffix,
-                miss_on > 0 ? miss_off / miss_on : 0.0, "x");
-    gets.AddRow({tc.name, "hit", TablePrinter::FormatDouble(hit_on, 3),
-                 TablePrinter::FormatDouble(hit_off, 3),
-                 TablePrinter::FormatDouble(hit_on > 0 ? hit_off / hit_on : 0),
-                 "-"});
-    gets.AddRow(
-        {tc.name, "miss", TablePrinter::FormatDouble(miss_on, 3),
-         TablePrinter::FormatDouble(miss_off, 3),
-         TablePrinter::FormatDouble(miss_on > 0 ? miss_off / miss_on : 0),
-         TablePrinter::FormatDouble(skip_ratio * 100, 1)});
   }
 
   steps.Print();
-  gets.Print();
   json.Write();
 }
 
@@ -239,19 +135,6 @@ void BM_DescendantStep(benchmark::State& state, bool use_index) {
 }
 BENCHMARK_CAPTURE(BM_DescendantStep, indexed, true);
 BENCHMARK_CAPTURE(BM_DescendantStep, full_scan, false);
-
-void BM_PointGetMiss(benchmark::State& state, bool prune) {
-  Fixture& fixture = UniformFixture();
-  fixture.store->SetBloomPruning(prune);
-  for (auto _ : state) {
-    for (const core::Ruid2Id& id : fixture.miss_ids) {
-      benchmark::DoNotOptimize(fixture.store->GetById(id));
-    }
-  }
-  fixture.store->SetBloomPruning(true);
-}
-BENCHMARK_CAPTURE(BM_PointGetMiss, bloom_pruned, true);
-BENCHMARK_CAPTURE(BM_PointGetMiss, unpruned, false);
 
 }  // namespace
 }  // namespace bench

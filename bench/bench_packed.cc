@@ -10,9 +10,7 @@
 #include "bench_common.h"
 #include "core/packed_ruid2_id.h"
 #include "storage/element_store.h"
-#include "storage/sharded_store.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 #include "xpath/name_index.h"
 #include "xpath/structural_join.h"
 
@@ -145,12 +143,11 @@ void PrintTables() {
 
   {
     Fixture& fixture = GetFixture("uniform");
-    util::ThreadPool pool(2);
     RecordPair(&json, "bulkload_uniform", [&] {
-      auto store = storage::ShardedElementStore::Create("");
+      auto store = storage::ElementStore::Create("");
       if (store.ok()) {
         benchmark::DoNotOptimize(
-            (*store)->BulkLoad(fixture.ruid, fixture.doc->root(), &pool));
+            (*store)->BulkLoad(fixture.ruid, fixture.doc->root()));
       }
     });
 

@@ -1,15 +1,14 @@
 // E13 — the parallel bulk-labeling pipeline and the per-area ancestor-path
 // cache. Not a paper table: the paper's Sec. 5 measures single-threaded
-// enumeration cost; this bench regenerates that load path at production
-// scale and shows (a) how labeling + sharded bulk-load scale with worker
-// threads (UID-local areas and (name, global) shards are the independent
-// units of parallelism), and (b) what memoizing the frame ancestor chains
-// saves on the rancestor/CompareIds/structural-join hot paths.
+// enumeration cost; this bench regenerates that labeling path at production
+// scale and shows (a) how labeling scales with worker threads (UID-local
+// areas are the independent units of parallelism), and (b) what memoizing
+// the frame ancestor chains saves on the rancestor/CompareIds/
+// structural-join hot paths.
 #include <chrono>
 #include <vector>
 
 #include "bench_common.h"
-#include "storage/sharded_store.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 #include "xpath/name_index.h"
@@ -22,16 +21,10 @@ namespace {
 constexpr uint64_t kScale = 100000;
 constexpr int kRepeats = 3;
 
-/// Partition geometry for the load-pipeline table. The stock budgets
-/// fragment this deep 100k-node document into tens of thousands of
-/// near-empty (name, global) shards — enough temp-file handles to kill
-/// the load mid-flight — and PR 7 papered over it with hand-picked coarse
-/// budgets (8192-node areas, depth cap off) whose huge areas pushed local
-/// indices past the 96-bit posting-key cap. The partitioner's adaptive
-/// granularity now does the sizing itself: budget areas off the node
-/// count and fold undersized splinters back up, so shard count tracks
-/// data volume, not topology accidents, at any scale — and areas stay
-/// small enough that every local index fits the posting codec.
+/// Partition geometry for the labeling table: the partitioner's adaptive
+/// granularity budgets areas off the node count and folds undersized
+/// splinters back up, so the number of parallel units (about 256 areas)
+/// tracks data volume, not topology accidents, at any scale.
 core::PartitionOptions PipelineAreas() {
   core::PartitionOptions areas;
   areas.target_area_count = 256;
@@ -78,7 +71,7 @@ Fixture& GetFixture() {
 }
 
 void PrintTables() {
-  Banner("E13: parallel load pipeline + ancestor-path cache",
+  Banner("E13: parallel labeling + ancestor-path cache",
          "beyond the paper — ROADMAP scaling work");
   Fixture& fixture = GetFixture();
   xml::Node* root = fixture.doc->root();
@@ -90,11 +83,10 @@ void PrintTables() {
   json.Metric("hardware_threads",
               static_cast<double>(std::thread::hardware_concurrency()));
 
-  // --- load pipeline scaling: label + sharded bulk-load per thread count ---
-  TablePrinter table("load pipeline vs worker threads (best of 3)");
-  table.SetHeader({"threads", "label ms", "bulk-load ms", "pipeline ms",
-                   "speedup"});
-  double base_pipeline = 0;
+  // --- labeling scaling per thread count -----------------------------------
+  TablePrinter table("labeling vs worker threads (best of 3)");
+  table.SetHeader({"threads", "label ms", "speedup"});
+  double base_label = 0;
   for (int threads : {1, 2, 4, 8}) {
     std::unique_ptr<util::ThreadPool> pool;
     if (threads > 1) pool = std::make_unique<util::ThreadPool>(threads);
@@ -102,36 +94,14 @@ void PrintTables() {
       core::Ruid2Scheme scheme(PipelineAreas());
       scheme.Build(root, pool.get());
     });
-    core::Ruid2Scheme scheme(PipelineAreas());
-    scheme.Build(root, pool.get());
-    Status load_status = Status::OK();
-    double load_ms = TimeMs([&] {
-      auto store = storage::ShardedElementStore::Create("");
-      if (!store.ok()) {
-        load_status = store.status();
-        return;
-      }
-      Status s = (*store)->BulkLoad(scheme, root, pool.get());
-      if (!s.ok()) load_status = s;
-    });
-    if (!load_status.ok()) {
-      std::printf("WARNING: t%d bulk load failed: %s\n", threads,
-                  load_status.ToString().c_str());
-    }
-    double pipeline_ms = label_ms + load_ms;
-    if (threads == 1) base_pipeline = pipeline_ms;
+    if (threads == 1) base_label = label_ms;
     char speedup[32];
-    std::snprintf(speedup, sizeof(speedup), "%.2fx",
-                  base_pipeline / pipeline_ms);
+    std::snprintf(speedup, sizeof(speedup), "%.2fx", base_label / label_ms);
     table.AddRow({std::to_string(threads), std::to_string(label_ms),
-                  std::to_string(load_ms), std::to_string(pipeline_ms),
                   speedup});
     std::string suffix = "_t" + std::to_string(threads);
     json.Metric("label_ms" + suffix, label_ms, "ms");
-    json.Metric("bulk_load_ms" + suffix, load_ms, "ms");
-    json.Metric("pipeline_ms" + suffix, pipeline_ms, "ms");
-    json.Metric("pipeline_speedup" + suffix, base_pipeline / pipeline_ms,
-                "x");
+    json.Metric("label_speedup" + suffix, base_label / label_ms, "x");
   }
   table.Print();
 

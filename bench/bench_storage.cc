@@ -1,18 +1,16 @@
 // E12 — storage-level behaviour (Secs. 3.3 & 4): ancestor determination
 // "without any I/O" thanks to rparent, versus a store that must chase
 // parent pointers; plus identifier-clustered area scans versus scattered
-// point lookups ("database file/table selection", Sec. 4).
+// point lookups, and E16's by-name selection ("database file/table
+// selection", Sec. 4) as a name-posting range scan versus a full scan.
 #include <chrono>
 #include <memory>
 
 #include "bench_common.h"
 #include "storage/element_store.h"
-#include "storage/sharded_store.h"
 #include "storage/streaming_labeler.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 #include "xml/serializer.h"
-#include "xpath/name_index.h"
 
 namespace ruidx {
 namespace bench {
@@ -121,202 +119,70 @@ void AreaScanTable() {
   table.Print();
 }
 
-void ShardedSelectionTable() {
-  // Sec. 4 "Database file/table selection": by-name selection over (name,
-  // area) shards vs scanning one monolithic store. Scaled down from kScale:
-  // every (name, area) shard holds a pager file AND a journal file, and a
-  // full-size dblp doc creates ~14k shards — past the process fd limit.
-  // The page-access contrast the table shows is per-query and does not
-  // depend on document size.
-  auto doc = MakeTopology("dblp", kScale / 8);
+void NameSelectionTable() {
+  // Sec. 4 "Database file/table selection": the paper names tables by
+  // (element name, global index) so a by-name query opens only its own
+  // tables. The name-posting tree keys [name term | global | local | flag],
+  // so that selection is one key range of it: posting pages plus one heap
+  // read per match, against a scan of every record.
+  auto doc = MakeTopology("dblp", kScale);
   core::Ruid2Scheme scheme(DefaultAreas());
   scheme.Build(doc->root());
-  auto sharded = storage::ShardedElementStore::Create("").MoveValueUnsafe();
-  (void)sharded->BulkLoad(scheme, doc->root());
-  auto monolithic = storage::ElementStore::Create("", 32).MoveValueUnsafe();
-  (void)monolithic->BulkLoad(scheme, doc->root());
-  xpath::NameIndex index(doc->root());
-
-  TablePrinter table(
-      "fetch all elements of one name: (name, area) shards vs monolithic "
-      "full scan ('dblp', " + std::to_string(kScale / 8) + " nodes)");
-  table.SetHeader({"name", "matches", "sharded page accesses",
-                   "monolithic scan page accesses"});
-  for (const char* name : {"year", "title", "inproceedings"}) {
-    sharded->ResetStats();
-    size_t got = 0;
-    (void)sharded->ScanName(name, [&](const storage::ElementRecord&) {
-      ++got;
-      return true;
-    });
-    uint64_t sharded_io = sharded->logical_page_accesses();
-
-    monolithic->ResetStats();
-    size_t scanned = 0;
-    // The monolithic store has no name index: full area-by-area scan.
-    for (const auto& row : scheme.ktable().rows()) {
-      (void)monolithic->ScanArea(row.global,
-                                 [&](const storage::ElementRecord& record) {
-                                   if (record.name == name) ++scanned;
-                                   return true;
-                                 });
-    }
-    uint64_t mono_io = monolithic->logical_page_accesses();
-    table.AddRow({name, std::to_string(got), std::to_string(sharded_io),
-                  std::to_string(mono_io)});
-    if (got != scanned) {
-      std::printf("WARNING: sharded/monolithic disagree for %s\n", name);
-    }
-  }
-  table.Print();
-}
-
-void EngineThroughputTable() {
-  // Not a paper table: throughput-vs-threads curves for the storage engine
-  // itself — the batched bulk-load write path, parallel point gets, and a
-  // mixed get/put workload over name-disjoint shard partitions.
-  auto doc = MakeTopology("random", kScale);
-  // Much larger areas than DefaultAreas(): this table measures the write
-  // path, and (name, area) shards under 64-node areas hold ~4 records each —
-  // all shard-lifecycle overhead, no batch to build. The depth budget must
-  // be effectively off too: the greedy partitioner spills every pending
-  // child into its own area once a budget trips, so a depth cap on this
-  // deep "random" topology fragments 20k nodes into ~10k two-record shards
-  // (whose 2 fds each then blow the process fd limit). 8192-node areas with
-  // no depth cap yield ~160 shards with leaf-filling record runs.
-  core::PartitionOptions areas;
-  areas.max_area_nodes = 8192;
-  areas.max_area_depth = 1ull << 20;
-  core::Ruid2Scheme scheme(areas);
-  scheme.Build(doc->root());
-
-  // Sample of (name, id) handles for the read and mixed workloads,
-  // shuffled so lookups hop across shards.
-  struct Handle {
-    std::string name;
-    core::Ruid2Id id;
-  };
-  std::vector<Handle> sample;
-  xml::PreorderTraverse(doc->root(), [&](xml::Node* n, int) {
-    sample.push_back({std::string(n->name()), scheme.label(n)});
-    return true;
-  });
-  Rng rng(17);
-  for (size_t i = sample.size(); i > 1; --i) {
-    std::swap(sample[i - 1], sample[rng.NextBounded(i)]);
-  }
-  if (sample.size() > 4096) sample.resize(4096);
+  auto store = storage::ElementStore::Create("", 32).MoveValueUnsafe();
+  (void)store->BulkLoad(scheme, doc->root());
+  (void)store->Flush();
 
   BenchJsonWriter json("storage");
   json.Metric("nodes", static_cast<double>(scheme.label_count()));
   TablePrinter table(
-      "storage engine throughput vs worker threads ('random', " +
-      std::to_string(kScale) + " nodes, best of " + std::to_string(kRepeats) +
-      ")");
-  table.SetHeader({"threads", "bulk load ms", "point gets ms",
-                   "mixed get/put ms", "load speedup"});
-  double base_load = 0;
-  for (int threads : {1, 2, 4, 8}) {
-    std::unique_ptr<util::ThreadPool> pool;
-    if (threads > 1) pool = std::make_unique<util::ThreadPool>(threads);
-
-    Status load_status = Status::OK();
-    double load_ms = TimeMs([&] {
-      auto fresh = storage::ShardedElementStore::Create("");
-      if (!fresh.ok()) {
-        load_status = fresh.status();
-        return;
-      }
-      Status s = (*fresh)->BulkLoad(scheme, doc->root(), pool.get());
-      if (!s.ok()) load_status = s;
+      "fetch all elements of one name: name-posting range scan vs full "
+      "scan ('dblp', " + std::to_string(kScale) + " nodes)");
+  table.SetHeader({"name", "matches", "posting scan page accesses",
+                   "full scan page accesses", "ratio"});
+  for (const char* name : {"year", "title", "inproceedings"}) {
+    store->ResetStats();
+    size_t got = 0;
+    (void)store->ScanNameTerm(name, [&](const storage::ElementRecord&) {
+      ++got;
+      return true;
     });
-    if (!load_status.ok()) {
-      std::printf("WARNING: t%d bulk load failed: %s\n", threads,
-                  load_status.ToString().c_str());
+    uint64_t posting_io = store->logical_page_accesses();
+
+    store->ResetStats();
+    size_t scanned = 0;
+    (void)store->ScanAll([&](const storage::BPlusTree::Key&,
+                             const storage::ElementRecord& record) {
+      if (record.name == name) ++scanned;
+      return true;
+    });
+    uint64_t scan_io = store->logical_page_accesses();
+    double ratio = posting_io > 0 ? static_cast<double>(scan_io) /
+                                        static_cast<double>(posting_io)
+                                  : 0.0;
+    table.AddRow({name, std::to_string(got), std::to_string(posting_io),
+                  std::to_string(scan_io),
+                  TablePrinter::FormatDouble(ratio, 1) + "x"});
+    std::string suffix = std::string("_") + name;
+    json.Metric("matches" + suffix, static_cast<double>(got));
+    json.Metric("posting_scan_pages" + suffix,
+                static_cast<double>(posting_io));
+    json.Metric("full_scan_pages" + suffix, static_cast<double>(scan_io));
+    if (got != scanned) {
+      std::printf("WARNING: posting scan and full scan disagree for %s\n",
+                  name);
     }
-
-    auto store = storage::ShardedElementStore::Create("").MoveValueUnsafe();
-    (void)store->BulkLoad(scheme, doc->root(), pool.get());
-    if (threads == 1) {
-      json.Metric("shard_count", static_cast<double>(store->shard_count()));
-    }
-
-    // Point gets are read-only: any worker may hit any shard (the pool and
-    // shard map are internally locked; nothing else mutates).
-    // lint: disjoint-writes — read-only lookups, no shared writes.
-    double get_ms = TimeMs([&] {
-      if (pool == nullptr) {
-        for (const Handle& h : sample) (void)store->Get(h.name, h.id);
-      } else {
-        size_t n = static_cast<size_t>(threads);
-        util::ThreadPool::ParallelFor(pool.get(), n, [&](size_t w) {
-          for (size_t i = w; i < sample.size(); i += n) {
-            (void)store->Get(sample[i].name, sample[i].id);
-          }
-        });
-      }
-    });
-
-    // Mixed workload: names are partitioned across workers by hash, so two
-    // workers never touch the same (name, global) shard — writes stay
-    // disjoint while the shard map serializes only the brief lookups.
-    // lint: disjoint-writes — worker w owns exactly the names hashing to w.
-    double mixed_ms = TimeMs([&] {
-      size_t n = pool == nullptr ? 1 : static_cast<size_t>(threads);
-      auto worker = [&](size_t w) {
-        std::hash<std::string> hasher;
-        for (const Handle& h : sample) {
-          if (hasher(h.name) % n != w) continue;
-          auto got = store->Get(h.name, h.id);
-          if (got.ok()) (void)store->Put(*got);
-        }
-      };
-      if (pool == nullptr) {
-        worker(0);
-      } else {
-        util::ThreadPool::ParallelFor(pool.get(), n, worker);
-      }
-    });
-
-    if (threads == 1) base_load = load_ms;
-    char speedup[32];
-    std::snprintf(speedup, sizeof(speedup), "%.2fx", base_load / load_ms);
-    table.AddRow({std::to_string(threads), std::to_string(load_ms),
-                  std::to_string(get_ms), std::to_string(mixed_ms), speedup});
-    std::string suffix = "_t" + std::to_string(threads);
-    json.Metric("bulk_load_ms" + suffix, load_ms, "ms");
-    json.Metric("point_get_ms" + suffix, get_ms, "ms");
-    json.Metric("mixed_ms" + suffix, mixed_ms, "ms");
-    json.Metric("bulk_load_speedup" + suffix, base_load / load_ms, "x");
   }
   table.Print();
-
-  // Pool behaviour under the batched path, for the record.
-  auto store = storage::ShardedElementStore::Create("").MoveValueUnsafe();
-  util::ThreadPool pool4(4);
-  (void)store->BulkLoad(scheme, doc->root(), &pool4);
-  storage::BufferPoolStats ps = store->pool_stats();
-  std::printf(
-      "pool (t4 load): %llu hits, %llu misses, %llu evictions, "
-      "%llu sync + %llu async writebacks\n",
-      static_cast<unsigned long long>(ps.hits),
-      static_cast<unsigned long long>(ps.misses),
-      static_cast<unsigned long long>(ps.evictions),
-      static_cast<unsigned long long>(ps.dirty_writebacks),
-      static_cast<unsigned long long>(ps.async_writebacks));
-  json.Metric("pool_hits_t4_load", static_cast<double>(ps.hits));
-  json.Metric("pool_misses_t4_load", static_cast<double>(ps.misses));
-  json.Metric("pool_evictions_t4_load", static_cast<double>(ps.evictions));
   json.Write();
 }
 
 void PrintTables() {
-  Banner("E12: storage I/O",
-         "Sec. 3.3 — ancestor checks without I/O; Sec. 4 — area clustering");
+  Banner("E12/E16: storage I/O",
+         "Sec. 3.3 — ancestor checks without I/O; Sec. 4 — area clustering "
+         "and by-name selection");
   AncestorIoTable();
   AreaScanTable();
-  ShardedSelectionTable();
-  EngineThroughputTable();
+  NameSelectionTable();
 }
 
 void BM_GetBySimpleId(benchmark::State& state) {

@@ -803,25 +803,6 @@ Status CheckStoreInvariants(const Ruid2Scheme& scheme, xml::Node* root,
   }
   MarkPassed(report, "path-index-order");
 
-  // bloom-membership: the filter must answer "maybe" for every stored
-  // identifier — a false negative would make Get() report NotFound for a
-  // live record without ever touching the tree.
-  RUIDX_RETURN_NOT_OK(store->ScanAll(
-      [&](const storage::BPlusTree::Key& key,
-          const storage::ElementRecord& rec) {
-        (void)key;
-        if (!store->MayContainId(rec.id)) {
-          violation = Violation("bloom-membership",
-                                "bloom filter vetoes stored identifier " +
-                                    rec.id.ToString() +
-                                    " (false negative)");
-          return false;
-        }
-        return true;
-      }));
-  RUIDX_RETURN_NOT_OK(violation);
-  MarkPassed(report, "bloom-membership");
-
   // On-disk battery: flushes, then reads the file raw — page trailer
   // checksums, LSN bounds, free-list shape, index/heap/free disjointness
   // (see ElementStore::VerifyOnDisk).

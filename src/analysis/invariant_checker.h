@@ -83,10 +83,9 @@ Status CheckDocumentInvariants(const core::Ruid2Scheme& scheme,
 /// record backed by a labeled DOM node (name/type/parent agreement), and
 /// the record count equal to the label count. The secondary-index battery
 /// then proves the name postings cover the records under the right term
-/// hashes (name-index-coverage), the path postings carry DOM-derived path
-/// terms and ascend in identifier order within a term (path-index-order),
-/// and the Bloom filter never vetoes a stored identifier
-/// (bloom-membership). Finally flushes the store and runs the on-disk
+/// hashes (name-index-coverage), and the path postings carry DOM-derived
+/// path terms and ascend in identifier order within a term
+/// (path-index-order). Finally flushes the store and runs the on-disk
 /// battery (page checksums, LSN monotonicity, free-list sanity, index-page
 /// reachability) against the raw file image plus the store-side
 /// postings↔heap agreement checks.

@@ -160,9 +160,8 @@ bool FindPromotionCandidate(const Partition& p, uint32_t area_idx,
 /// its area filled up (the node spills into a near-empty area of its own),
 /// and the parent of such a splinter sits at the budget by construction —
 /// with an exact cap nothing would ever fold back. A modestly oversized
-/// area is the cheaper failure mode: every area costs a frame identifier, a
-/// KTable row, and a set of shards, while an overfull one merely enumerates
-/// more locals.
+/// area is the cheaper failure mode: every area costs a frame identifier
+/// and a KTable row, while an overfull one merely enumerates more locals.
 ///
 /// Child areas always carry a larger index than their parent
 /// (DerivePartition creates areas at preorder visit time), so one reverse

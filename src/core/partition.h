@@ -36,7 +36,7 @@ struct PartitionOptions {
   /// accidents — a depth budget slicing a long chain, a spill right before
   /// a subtree ends — otherwise litter the partition with near-empty
   /// areas, and every area multiplies downstream per-area cost (KTable
-  /// rows, shards, frame identifiers). Merging trades the other budgets
+  /// rows, frame identifiers). Merging trades the other budgets
   /// away by design: a merged area may run deeper than `max_area_depth`
   /// and up to twice `max_area_nodes`. 0 disables the pass.
   uint64_t min_area_nodes = 0;

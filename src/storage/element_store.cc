@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -50,12 +49,6 @@ size_t SerializedSize(const ElementRecord& record) {
 /// A record must fit one heap page beside the page header and its slot.
 bool FitsHeapPage(const ElementRecord& record) {
   return SerializedSize(record) + kHeapHeader + 2 <= kPageUsableSize;
-}
-
-/// The Bloom filter's key universe: hashes of encoded primary keys, so the
-/// filter, the store, and the fsck all derive membership the same way.
-uint64_t IdKeyHash(const BPlusTree::Key& key) {
-  return Fnv1a64(key.data(), key.size());
 }
 
 /// Bytewise key order, one big-endian word at a time (the byte swap, as in
@@ -144,7 +137,7 @@ core::Ruid2Id DecodeIdKey(const BPlusTree::Key& key) {
 }
 
 namespace {
-// Meta page (page 0) layout (v3 — v2 lacked the secondary-index block):
+// Meta page (page 0) layout:
 //   [0..4)   u32 magic
 //   [4..8)   u32 index root page
 //   [8..16)  u64 index entry count
@@ -155,21 +148,12 @@ namespace {
 //   [36..44) u64 name-index entry count
 //   [44..48) u32 path-index root page
 //   [48..56) u64 path-index entry count
-//   [56..60) u32 Bloom chain head page (kInvalidPage = empty filter)
-//   [60..64) u32 Bloom word count (bit count / 64)
-//   [64..72) u64 Bloom key count
-// v4 stores may contain prefix-compressed leaf pages (page format v2);
-// pages self-describe via their format byte, so a v4 reader opens v3
-// stores unchanged and the magics differ only to record which writers have
-// touched the file. New stores are stamped v4; v3 stores keep their magic
-// until the next meta write.
-constexpr uint32_t kMetaMagicV3 = 0x52585333;  // "RXS3"
-constexpr uint32_t kMetaMagic = 0x52585334;    // "RXS4"
-constexpr size_t kMetaSize = 72;
-
-// Bloom chain page layout: [0..4) u32 next page (kInvalidPage ends the
-// chain), [4..) the filter's u64 words, little-endian, head page first.
-constexpr size_t kBloomWordsPerPage = (kPageUsableSize - 4) / 8;
+// Leaf pages self-describe their format (plain or prefix-compressed) via
+// their format byte. Earlier magics ("RXS3", "RXS4") marked a longer meta
+// page with fields this layout dropped; no such stores were deployed, and
+// Open and OpenSnapshot refuse them as Corruption.
+constexpr uint32_t kMetaMagic = 0x52585335;  // "RXS5"
+constexpr size_t kMetaSize = 56;
 
 /// The sidecar journal lives next to the store file; anonymous temp-backed
 /// stores get an anonymous temp journal.
@@ -310,12 +294,6 @@ Status ElementStore::WriteMeta() {
   std::memcpy(meta + 44, &path_root, 4);
   uint64_t path_count = path_index_->entry_count();
   std::memcpy(meta + 48, &path_count, 8);
-  uint32_t bloom_head = bloom_pages_.empty() ? kInvalidPage : bloom_pages_[0];
-  std::memcpy(meta + 56, &bloom_head, 4);
-  uint32_t bloom_words = static_cast<uint32_t>(bloom_.words().size());
-  std::memcpy(meta + 60, &bloom_words, 4);
-  uint64_t bloom_keys = bloom_.key_count();
-  std::memcpy(meta + 64, &bloom_keys, 8);
   RUIDX_ASSIGN_OR_RETURN(uint8_t* page, pool_->Fetch(0));
   // Only dirty (and so journal) the meta page when something changed —
   // a read-only Flush then commits nothing.
@@ -326,8 +304,7 @@ Status ElementStore::WriteMeta() {
 }
 
 Result<std::unique_ptr<ElementStore>> ElementStore::Create(
-    const std::string& path, size_t buffer_pool_pages,
-    bool background_flusher) {
+    const std::string& path, size_t buffer_pool_pages) {
   auto store = std::unique_ptr<ElementStore>(new ElementStore());
   auto injector = std::make_shared<IoFaultInjector>();
   RUIDX_ASSIGN_OR_RETURN(store->pager_,
@@ -342,7 +319,7 @@ Result<std::unique_ptr<ElementStore>> ElementStore::Create(
   store->pool_ =
       std::make_unique<BufferPool>(store->pager_.get(), buffer_pool_pages);
   store->pool_->AttachWal(store->wal_.get());
-  if (background_flusher) store->pool_->StartBackgroundFlusher();
+  store->pool_->StartBackgroundFlusher();
   // Reserve page 0 for the metadata header.
   uint8_t* meta = nullptr;
   RUIDX_ASSIGN_OR_RETURN(uint32_t meta_page, store->pool_->AllocatePinned(&meta));
@@ -363,8 +340,7 @@ Result<std::unique_ptr<ElementStore>> ElementStore::Create(
 }
 
 Result<std::unique_ptr<ElementStore>> ElementStore::Open(
-    const std::string& path, size_t buffer_pool_pages,
-    bool background_flusher) {
+    const std::string& path, size_t buffer_pool_pages) {
   auto store = std::unique_ptr<ElementStore>(new ElementStore());
   auto injector = std::make_shared<IoFaultInjector>();
   RUIDX_ASSIGN_OR_RETURN(store->wal_,
@@ -398,11 +374,11 @@ Result<std::unique_ptr<ElementStore>> ElementStore::Open(
   store->pool_ =
       std::make_unique<BufferPool>(store->pager_.get(), buffer_pool_pages);
   store->pool_->AttachWal(store->wal_.get());
-  if (background_flusher) store->pool_->StartBackgroundFlusher();
+  store->pool_->StartBackgroundFlusher();
   RUIDX_ASSIGN_OR_RETURN(uint8_t* page, store->pool_->Fetch(0));
   uint32_t magic = 0;
   std::memcpy(&magic, page, 4);
-  if (magic != kMetaMagic && magic != kMetaMagicV3) {
+  if (magic != kMetaMagic) {
     store->pool_->Unpin(0, false);
     return Status::Corruption("not an element store file: " + path);
   }
@@ -412,8 +388,6 @@ Result<std::unique_ptr<ElementStore>> ElementStore::Open(
   uint64_t free_count = 0;
   uint32_t name_root = 0, path_root = 0;
   uint64_t name_count = 0, path_count = 0;
-  uint32_t bloom_head = kInvalidPage, bloom_words = 0;
-  uint64_t bloom_keys = 0;
   std::memcpy(&root, page + 4, 4);
   std::memcpy(&count, page + 8, 8);
   std::memcpy(&store->current_heap_page_, page + 16, 4);
@@ -423,9 +397,6 @@ Result<std::unique_ptr<ElementStore>> ElementStore::Open(
   std::memcpy(&name_count, page + 36, 8);
   std::memcpy(&path_root, page + 44, 4);
   std::memcpy(&path_count, page + 48, 8);
-  std::memcpy(&bloom_head, page + 56, 4);
-  std::memcpy(&bloom_words, page + 60, 4);
-  std::memcpy(&bloom_keys, page + 64, 8);
   store->pool_->Unpin(0, false);
   store->pool_->RestoreFreeList(free_head, free_count);
   store->index_ = std::make_unique<BPlusTree>(
@@ -434,42 +405,7 @@ Result<std::unique_ptr<ElementStore>> ElementStore::Open(
       SecondaryIndex::Attach(store->pool_.get(), name_root, name_count));
   store->path_index_ = std::make_unique<SecondaryIndex>(
       SecondaryIndex::Attach(store->pool_.get(), path_root, path_count));
-  RUIDX_RETURN_NOT_OK(store->LoadBloom(bloom_head, bloom_words, bloom_keys));
   return store;
-}
-
-Status ElementStore::LoadBloom(uint32_t head, uint32_t word_count,
-                               uint64_t key_count) {
-  if (head == kInvalidPage) {
-    // Never persisted (or persisted empty): an empty filter would wrongly
-    // veto every Get on a non-empty store, so rebuild from the keys.
-    if (index_->entry_count() > 0) return RebuildBloom();
-    return Status::OK();
-  }
-  std::vector<uint64_t> words;
-  words.reserve(word_count);
-  uint32_t cursor = head;
-  while (cursor != kInvalidPage && words.size() < word_count) {
-    bloom_pages_.push_back(cursor);
-    RUIDX_ASSIGN_OR_RETURN(uint8_t* page, pool_->Fetch(cursor));
-    uint32_t next;
-    std::memcpy(&next, page, 4);
-    size_t take = std::min<size_t>(kBloomWordsPerPage, word_count - words.size());
-    for (size_t i = 0; i < take; ++i) {
-      uint64_t w;
-      std::memcpy(&w, page + 4 + 8 * i, 8);
-      words.push_back(w);
-    }
-    pool_->Unpin(cursor, false);
-    cursor = next;
-  }
-  if (words.empty() || words.size() != word_count ||
-      (words.size() & (words.size() - 1)) != 0) {
-    return Status::Corruption("bloom chain truncated or word count not a "
-                              "power of two");
-  }
-  bloom_.Restore(std::move(words), key_count);
-  return Status::OK();
 }
 
 Result<uint64_t> ElementStore::AppendRecord(const ElementRecord& record,
@@ -536,48 +472,27 @@ Result<uint64_t> ElementStore::ResolvePathTerm(const ElementRecord& record) {
     return ExtendPathTerm(parent.path_term, record.name);
   }
   if (!location.status().IsNotFound()) return location.status();
-  // The parent lives elsewhere (another shard of a sharded store): seed the
-  // term from the bare name. Deterministic — Remove and overwrite still
-  // find the posting through the stored term — but cross-shard path
-  // queries against this record degrade to index misses.
+  // The parent is not stored (yet): the child was Put before its parent.
+  // Seed the term from the bare name. Deterministic — Remove and overwrite
+  // still find the posting through the stored term — but path queries
+  // against this record miss it.
   return HashNameTerm(record.name);
-}
-
-Status ElementStore::RebuildBloom() {
-  BloomFilter rebuilt = BloomFilter::ForExpectedKeys(
-      index_->entry_count() * 2 + BloomFilter::kMinBits);
-  BPlusTree::Key lo{};
-  BPlusTree::Key hi;
-  hi.fill(0xFF);
-  RUIDX_RETURN_NOT_OK(index_->Scan(
-      lo, hi, [&](const BPlusTree::Key& key, uint64_t) {
-        rebuilt.Add(IdKeyHash(key));
-        return true;
-      }));
-  bloom_ = std::move(rebuilt);
-  return Status::OK();
 }
 
 Status ElementStore::Put(const ElementRecord& record) {
   RUIDX_ASSIGN_OR_RETURN(BPlusTree::Key key, EncodeIdKey(record.id));
-  uint64_t id_hash = IdKeyHash(key);
-  // Overwrites must retarget the old record's postings. The filter's
-  // no-false-negative contract makes the common insert cheap: MayContain
-  // false proves the key is fresh, so no lookup happens at all; a false
-  // positive costs one extra point get.
+  // Overwrites must retarget the old record's postings.
   bool had_old = false;
   uint64_t old_name_term = 0;
   uint64_t old_path_term = 0;
-  if (bloom_.MayContain(id_hash)) {
-    auto old_location = index_->Get(key);
-    if (old_location.ok()) {
-      RUIDX_ASSIGN_OR_RETURN(ElementRecord old, ReadRecord(*old_location));
-      had_old = true;
-      old_name_term = HashNameTerm(old.name);
-      old_path_term = old.path_term;
-    } else if (!old_location.status().IsNotFound()) {
-      return old_location.status();
-    }
+  auto old_location = index_->Get(key);
+  if (old_location.ok()) {
+    RUIDX_ASSIGN_OR_RETURN(ElementRecord old, ReadRecord(*old_location));
+    had_old = true;
+    old_name_term = HashNameTerm(old.name);
+    old_path_term = old.path_term;
+  } else if (!old_location.status().IsNotFound()) {
+    return old_location.status();
   }
   uint64_t name_term = HashNameTerm(record.name);
   RUIDX_ASSIGN_OR_RETURN(uint64_t path_term, ResolvePathTerm(record));
@@ -597,51 +512,27 @@ Status ElementStore::Put(const ElementRecord& record) {
   }
   RUIDX_RETURN_NOT_OK(name_index_->Add(name_term, record.id, location));
   RUIDX_RETURN_NOT_OK(path_index_->Add(path_term, record.id, location));
-  if (!had_old) {
-    bloom_.Add(id_hash);
-    if (bloom_.Overloaded()) RUIDX_RETURN_NOT_OK(RebuildBloom());
-  }
   return Status::OK();
 }
 
 Status ElementStore::Remove(const core::Ruid2Id& id) {
   RUIDX_ASSIGN_OR_RETURN(BPlusTree::Key key, EncodeIdKey(id));
-  if (!bloom_.MayContain(IdKeyHash(key))) {
-    return Status::NotFound("id not in store");
-  }
   RUIDX_ASSIGN_OR_RETURN(uint64_t location, index_->Get(key));
   RUIDX_ASSIGN_OR_RETURN(ElementRecord old, ReadRecord(location));
   RUIDX_RETURN_NOT_OK(index_->Erase(key));
   RUIDX_RETURN_NOT_OK(name_index_->Remove(HashNameTerm(old.name), id));
   RUIDX_RETURN_NOT_OK(path_index_->Remove(old.path_term, id));
-  // The removed key's bits stay set in the filter (add-only contract), so
-  // sustained churn drifts the FP rate up while key_count suggests a light
-  // load; once tombstones cross the rebuild threshold, re-derive the filter
-  // from the live key set.
-  bloom_.NoteRemoval();
-  if (bloom_.NeedsRebuild()) RUIDX_RETURN_NOT_OK(RebuildBloom());
   return Status::OK();
-}
-
-bool ElementStore::MayContainId(const core::Ruid2Id& id) const {
-  auto key = EncodeIdKey(id);
-  // Unencodable identifiers cannot be stored either.
-  if (!key.ok()) return false;
-  return !bloom_enabled_ || bloom_.MayContain(IdKeyHash(*key));
 }
 
 Result<ElementRecord> ElementStore::Get(const core::Ruid2Id& id) {
   RUIDX_ASSIGN_OR_RETURN(BPlusTree::Key key, EncodeIdKey(id));
-  if (bloom_enabled_ && !bloom_.MayContain(IdKeyHash(key))) {
-    return Status::NotFound("id not in store");
-  }
   RUIDX_ASSIGN_OR_RETURN(uint64_t location, index_->Get(key));
   return ReadRecord(location);
 }
 
 Result<bool> ElementStore::Exists(const core::Ruid2Id& id) {
   RUIDX_ASSIGN_OR_RETURN(BPlusTree::Key key, EncodeIdKey(id));
-  if (bloom_enabled_ && !bloom_.MayContain(IdKeyHash(key))) return false;
   auto location = index_->Get(key);
   if (location.ok()) return true;
   if (location.status().IsNotFound()) return false;
@@ -679,55 +570,15 @@ Status ElementStore::BulkLoad(const core::Ruid2Scheme& scheme,
       id_stack[depth] = &id;
       term_stack.resize(depth + 1);
       term_stack[depth] = record.path_term;
-      status = visit(record, record.path_term);
+      status = visit(record);
       return status.ok();
     });
     return status;
   };
   if (index_->entry_count() != 0) {
-    return walk([this](const ElementRecord& record, uint64_t) {
-      return Put(record);
-    });
+    return walk([this](const ElementRecord& record) { return Put(record); });
   }
   return BulkBuild(scheme.label_count(), walk);
-}
-
-Status ElementStore::BulkLoadRecords(const std::vector<ElementRecord>& records) {
-  if (index_->entry_count() != 0) {
-    for (const ElementRecord& record : records) {
-      RUIDX_RETURN_NOT_OK(Put(record));
-    }
-    return Status::OK();
-  }
-  // Resolve unset path terms the way a Put per record in batch order would
-  // (see ElementRecord::path_term): a parent loaded earlier in the batch
-  // extends its term; a parent outside the batch (another shard of a
-  // sharded store) leaves the bare name hash.
-  std::vector<uint64_t> terms(records.size());
-  std::unordered_map<core::Ruid2Id, uint64_t, core::Ruid2IdHash> term_of;
-  term_of.reserve(records.size());
-  for (size_t i = 0; i < records.size(); ++i) {
-    const ElementRecord& record = records[i];
-    uint64_t term = record.path_term;
-    if (term == 0) {
-      if (record.parent_id == record.id) {
-        term = RootPathTerm(record.name);
-      } else if (auto it = term_of.find(record.parent_id);
-                 it != term_of.end()) {
-        term = ExtendPathTerm(it->second, record.name);
-      } else {
-        term = HashNameTerm(record.name);
-      }
-    }
-    terms[i] = term;
-    term_of.emplace(record.id, term);
-  }
-  return BulkBuild(records.size(), [&](const RecordVisitor& visit) {
-    for (size_t i = 0; i < records.size(); ++i) {
-      RUIDX_RETURN_NOT_OK(visit(records[i], terms[i]));
-    }
-    return Status::OK();
-  });
 }
 
 Status ElementStore::BulkBuild(size_t size_hint, const RecordWalk& walk) {
@@ -738,19 +589,19 @@ Status ElementStore::BulkBuild(size_t size_hint, const RecordWalk& walk) {
   entries.reserve(size_hint);
   // Pass 1 validates everything an append or a tree insert could reject,
   // before the first heap append: a failed batch leaves the store empty.
-  RUIDX_RETURN_NOT_OK(
-      walk([&](const ElementRecord& record, uint64_t path_term) -> Status {
-        RUIDX_ASSIGN_OR_RETURN(BPlusTree::Key key, EncodeIdKey(record.id));
-        RUIDX_RETURN_NOT_OK(EncodeIdKey(record.parent_id).status());
-        // Both posting keys carry the same identifier, so one encoding
-        // proves both fit.
-        RUIDX_RETURN_NOT_OK(EncodePostingKey(path_term, record.id).status());
-        if (!FitsHeapPage(record)) {
-          return Status::CapacityExceeded("record larger than a page");
-        }
-        entries.push_back(BPlusTree::Entry{key, entries.size()});
-        return Status::OK();
-      }));
+  RUIDX_RETURN_NOT_OK(walk([&](const ElementRecord& record) -> Status {
+    RUIDX_ASSIGN_OR_RETURN(BPlusTree::Key key, EncodeIdKey(record.id));
+    RUIDX_RETURN_NOT_OK(EncodeIdKey(record.parent_id).status());
+    // Both posting keys carry the same identifier, so one encoding
+    // proves both fit.
+    RUIDX_RETURN_NOT_OK(
+        EncodePostingKey(record.path_term, record.id).status());
+    if (!FitsHeapPage(record)) {
+      return Status::CapacityExceeded("record larger than a page");
+    }
+    entries.push_back(BPlusTree::Entry{key, entries.size()});
+    return Status::OK();
+  }));
   if (entries.empty()) return Status::OK();
   std::sort(entries.begin(), entries.end(), EntryKeyLess);
   for (size_t i = 1; i < entries.size(); ++i) {
@@ -762,20 +613,16 @@ Status ElementStore::BulkBuild(size_t size_hint, const RecordWalk& walk) {
   // Pass 2: the heap, in input order.
   std::vector<uint64_t> locations;
   locations.reserve(entries.size());
-  RUIDX_RETURN_NOT_OK(
-      walk([&](const ElementRecord& record, uint64_t path_term) -> Status {
-        RUIDX_ASSIGN_OR_RETURN(uint64_t location,
-                               AppendRecord(record, path_term));
-        locations.push_back(location);
-        return Status::OK();
-      }));
+  RUIDX_RETURN_NOT_OK(walk([&](const ElementRecord& record) -> Status {
+    RUIDX_ASSIGN_OR_RETURN(uint64_t location,
+                           AppendRecord(record, record.path_term));
+    locations.push_back(location);
+    return Status::OK();
+  }));
   RUIDX_DCHECK(locations.size() == entries.size(),
                "bulk-load passes disagree on the record count");
-  // The primary tree. The filter is sized for the keys loaded; Put grows
-  // it when later inserts overload it.
-  bloom_ = BloomFilter::ForExpectedKeys(entries.size());
+  // The primary tree.
   for (BPlusTree::Entry& entry : entries) {
-    bloom_.Add(IdKeyHash(entry.key));
     entry.value = locations[entry.value];
   }
   RUIDX_RETURN_NOT_OK(index_->BulkLoadSorted(entries));
@@ -783,28 +630,24 @@ Status ElementStore::BulkBuild(size_t size_hint, const RecordWalk& walk) {
   // hash, so each run is sorted before its build.
   auto build_postings =
       [&](SecondaryIndex* index,
-          uint64_t (*term_for)(const ElementRecord&, uint64_t)) -> Status {
+          uint64_t (*term_for)(const ElementRecord&)) -> Status {
     entries.clear();
-    RUIDX_RETURN_NOT_OK(
-        walk([&](const ElementRecord& record, uint64_t path_term) -> Status {
-          RUIDX_ASSIGN_OR_RETURN(
-              BPlusTree::Key key,
-              EncodePostingKey(term_for(record, path_term), record.id));
-          entries.push_back(
-              BPlusTree::Entry{key, locations[entries.size()]});
-          return Status::OK();
-        }));
+    RUIDX_RETURN_NOT_OK(walk([&](const ElementRecord& record) -> Status {
+      RUIDX_ASSIGN_OR_RETURN(BPlusTree::Key key,
+                             EncodePostingKey(term_for(record), record.id));
+      entries.push_back(BPlusTree::Entry{key, locations[entries.size()]});
+      return Status::OK();
+    }));
     std::sort(entries.begin(), entries.end(), EntryKeyLess);
     return index->BulkLoadSorted(entries);
   };
-  RUIDX_RETURN_NOT_OK(build_postings(
-      name_index_.get(), [](const ElementRecord& record, uint64_t) {
+  RUIDX_RETURN_NOT_OK(
+      build_postings(name_index_.get(), [](const ElementRecord& record) {
         return HashNameTerm(record.name);
       }));
-  return build_postings(path_index_.get(),
-                        [](const ElementRecord&, uint64_t path_term) {
-                          return path_term;
-                        });
+  return build_postings(path_index_.get(), [](const ElementRecord& record) {
+    return record.path_term;
+  });
 }
 
 Status ElementStore::ScanArea(
@@ -873,46 +716,7 @@ Result<std::vector<ElementRecord>> ElementStore::FetchAncestors(
   return out;
 }
 
-Status ElementStore::PersistBloom() {
-  const std::vector<uint64_t>& words = bloom_.words();
-  size_t pages_needed = (words.size() + kBloomWordsPerPage - 1) /
-                        kBloomWordsPerPage;
-  while (bloom_pages_.size() < pages_needed) {
-    uint8_t* frame = nullptr;
-    RUIDX_ASSIGN_OR_RETURN(uint32_t page_id, pool_->AllocatePinned(&frame));
-    pool_->Unpin(page_id, /*dirty=*/true);
-    bloom_pages_.push_back(page_id);
-    // Next pointers (including the predecessor's link to this page) are
-    // written below — every chain page gets its full image rewritten.
-  }
-  while (bloom_pages_.size() > pages_needed) {
-    uint32_t page_id = bloom_pages_.back();
-    bloom_pages_.pop_back();
-    RUIDX_RETURN_NOT_OK(pool_->FreePage(page_id));
-  }
-  for (size_t p = 0; p < pages_needed; ++p) {
-    uint8_t image[kPageUsableSize];
-    std::memset(image, 0, sizeof(image));
-    uint32_t next = (p + 1 < pages_needed) ? bloom_pages_[p + 1]
-                                           : kInvalidPage;
-    std::memcpy(image, &next, 4);
-    size_t base = p * kBloomWordsPerPage;
-    size_t take = std::min(kBloomWordsPerPage, words.size() - base);
-    std::memcpy(image + 4, words.data() + base, take * 8);
-    RUIDX_ASSIGN_OR_RETURN(uint8_t* frame, pool_->Fetch(bloom_pages_[p]));
-    // Compare-and-dirty: an unchanged filter page journals and writes
-    // nothing (mirrors WriteMeta).
-    bool changed = std::memcmp(frame, image, kPageUsableSize) != 0;
-    if (changed) std::memcpy(frame, image, kPageUsableSize);
-    pool_->Unpin(bloom_pages_[p], changed);
-  }
-  return Status::OK();
-}
-
 Status ElementStore::Flush() {
-  // The filter pages must exist (and the chain head be final) before the
-  // meta that points at them is composed.
-  RUIDX_RETURN_NOT_OK(PersistBloom());
   RUIDX_RETURN_NOT_OK(WriteMeta());
   return pool_->FlushAll();
 }
@@ -927,7 +731,7 @@ Result<std::unique_ptr<StoreSnapshot>> ElementStore::OpenSnapshot() {
   RUIDX_ASSIGN_OR_RETURN(uint8_t* page, snap->Fetch(0));
   uint32_t magic = 0;
   std::memcpy(&magic, page, 4);
-  if (magic != kMetaMagic && magic != kMetaMagicV3) {
+  if (magic != kMetaMagic) {
     snap->Unpin(0, false);
     return Status::Corruption("snapshot meta page lacks the store magic");
   }
@@ -951,8 +755,6 @@ Result<std::unique_ptr<StoreSnapshot>> ElementStore::OpenSnapshot() {
 }
 
 Result<ElementRecord> StoreSnapshot::Get(const core::Ruid2Id& id) {
-  // No Bloom veto: the live filter may describe uncommitted keys. The
-  // committed tree answers directly.
   RUIDX_ASSIGN_OR_RETURN(BPlusTree::Key key, EncodeIdKey(id));
   RUIDX_ASSIGN_OR_RETURN(uint64_t location, index_.Get(key));
   return ReadRecordVia(snap_.get(), location);
@@ -1048,9 +850,9 @@ Status ElementStore::VerifyOnDisk() {
   }
 
   // [tree-reachability]: the primary and both secondary trees each form a
-  // tree (CollectPages rejects shared pages), the three page sets plus the
-  // Bloom chain are mutually disjoint, stay in bounds, and never alias
-  // page 0, a free page, or a heap page holding a live record.
+  // tree (CollectPages rejects shared pages), the three page sets are
+  // mutually disjoint, stay in bounds, and never alias page 0, a free page,
+  // or a heap page holding a live record.
   std::unordered_set<uint32_t> index_pages;
   RUIDX_RETURN_NOT_OK(index_->CollectPages(&index_pages));
   {
@@ -1076,13 +878,6 @@ Status ElementStore::VerifyOnDisk() {
           return Status::Corruption(leaf_status.message() + " (page " +
                                     std::to_string(id) + ")");
         }
-      }
-    }
-    for (uint32_t id : bloom_pages_) {
-      if (!index_pages.insert(id).second) {
-        return Status::Corruption("[tree-reachability] bloom page " +
-                                  std::to_string(id) +
-                                  " aliases an index page");
       }
     }
   }
@@ -1181,23 +976,6 @@ Status ElementStore::VerifySecondaryIndexes() {
         }
         return true;
       }));
-  RUIDX_RETURN_NOT_OK(status);
-
-  // [bloom-membership]: the filter's one contract — never a false
-  // negative — checked against every stored key.
-  BPlusTree::Key lo{};
-  BPlusTree::Key hi;
-  hi.fill(0xFF);
-  RUIDX_RETURN_NOT_OK(index_->Scan(
-      lo, hi, [&](const BPlusTree::Key& key, uint64_t) {
-        if (!bloom_.MayContain(IdKeyHash(key))) {
-          status = Status::Corruption("[bloom-membership] stored id " +
-                                      DecodeIdKey(key).ToString() +
-                                      " fails its Bloom filter");
-          return false;
-        }
-        return true;
-      }));
   return status;
 }
 
@@ -1205,7 +983,6 @@ SecondaryIndexStats ElementStore::secondary_stats() const {
   SecondaryIndexStats stats;
   stats.name_postings = name_index_->entry_count();
   stats.path_postings = path_index_->entry_count();
-  stats.bloom = bloom_.Stats();
   return stats;
 }
 

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/ruid2.h"
-#include "storage/bloom.h"
 #include "storage/bptree.h"
 #include "storage/buffer_pool.h"
 #include "storage/pager.h"
@@ -39,8 +38,8 @@ struct ElementRecord {
   /// Rolling hash of the root-to-node tag path (the path-index term).
   /// 0 = unset: the store resolves it on Put — root hash when the record is
   /// its own parent, otherwise extended from the parent record's stored
-  /// term (falling back to the bare name hash when the parent lives in a
-  /// different shard). Reads fill in the stored value.
+  /// term (falling back to the bare name hash when the child is Put before
+  /// its parent). Reads fill in the stored value.
   uint64_t path_term = 0;
 };
 
@@ -48,7 +47,6 @@ struct ElementRecord {
 struct SecondaryIndexStats {
   uint64_t name_postings = 0;
   uint64_t path_postings = 0;
-  BloomStats bloom;
 };
 
 /// Encodes an identifier as a 33-byte key whose bytewise order equals
@@ -68,8 +66,6 @@ core::Ruid2Id DecodeIdKey(const BPlusTree::Key& key);
 /// COMMITTED meta page — so even index restructuring (splits, root moves)
 /// after the snapshot is invisible.
 ///
-/// Lookups skip the Bloom filter (the live filter may already describe
-/// uncommitted keys) and go straight to the committed primary tree.
 /// Not thread-safe; open one per reader thread (opening is cheap).
 class StoreSnapshot {
  public:
@@ -109,14 +105,11 @@ class StoreSnapshot {
 
 class ElementStore {
  public:
-  /// Creates an empty store backed by `path` (empty = temp file).
-  /// `background_flusher` spawns the store's dedicated I/O thread that
-  /// drains dirty pool frames asynchronously; pass false for stores that
-  /// live many-to-a-process (e.g. the shards of a ShardedElementStore,
-  /// whose workers already provide the parallelism).
+  /// Creates an empty store backed by `path` (empty = temp file). The
+  /// store starts its dedicated I/O thread, which drains dirty pool frames
+  /// asynchronously.
   static Result<std::unique_ptr<ElementStore>> Create(
-      const std::string& path, size_t buffer_pool_pages = 64,
-      bool background_flusher = true);
+      const std::string& path, size_t buffer_pool_pages = 64);
 
   /// Re-opens a store previously Create()d and Flush()ed at `path`. Runs
   /// crash recovery first: if the sidecar journal ("<path>.wal") holds a
@@ -124,8 +117,7 @@ class ElementStore {
   /// (pre-images re-applied, appended pages truncated, torn journal tails
   /// discarded) before the metadata is read.
   static Result<std::unique_ptr<ElementStore>> Open(
-      const std::string& path, size_t buffer_pool_pages = 64,
-      bool background_flusher = true);
+      const std::string& path, size_t buffer_pool_pages = 64);
 
   /// Inserts or replaces a record.
   Status Put(const ElementRecord& record);
@@ -135,40 +127,23 @@ class ElementStore {
   /// occupied is reclaimed through the pool's free list.
   Status Remove(const core::Ruid2Id& id);
 
-  /// Point lookup by identifier. Guaranteed misses are answered by the
-  /// Bloom filter without touching the B+tree.
+  /// Point lookup by identifier: one descent of the primary tree.
   Result<ElementRecord> Get(const core::Ruid2Id& id);
 
   /// True iff the identifier names a stored (real) node.
   Result<bool> Exists(const core::Ruid2Id& id);
 
-  /// False = the identifier is definitely not stored (no page accesses);
-  /// true = probably stored. The sharded store prunes shards on this.
-  bool MayContainId(const core::Ruid2Id& id) const;
-
-  /// Benchmark/diagnostic knob: with the filter disabled, misses descend
-  /// the B+tree and MayContainId never vetoes — the pre-index behaviour,
-  /// kept so index-on/off comparisons measure the same binary. The filter
-  /// itself keeps being maintained, so re-enabling is always safe.
-  void SetBloomEnabled(bool enabled) { bloom_enabled_ = enabled; }
-
   /// Loads every labeled node of the subtree at `root` under `scheme`,
-  /// streamed from the DOM in preorder (no record vector is built). Into an
-  /// empty store this is the batch path of BulkLoadRecords; into a
-  /// non-empty one, a Put per node.
+  /// streamed from the DOM in preorder (no record vector is built). Into a
+  /// non-empty store this is a Put per node. Into an empty one, every key
+  /// is validated first (CapacityExceeded or, for a repeated id,
+  /// InvalidArgument, with the store left empty), the heap records are
+  /// appended in document order, and each of the three trees is built
+  /// bottom-up from its own sorted (key, location) run — leaves filled back
+  /// to back, no top-down descents. Identifier order is not document order
+  /// (a preorder walk returns from a child area, whose global index is
+  /// larger, to its parent's), so each run is sorted, never assumed sorted.
   Status BulkLoad(const core::Ruid2Scheme& scheme, xml::Node* root);
-
-  /// Inserts a batch of records in any order. Path terms left unset resolve
-  /// as Put would resolve them one record at a time in batch order. Into an
-  /// empty store, every key is validated first (CapacityExceeded or, for a
-  /// repeated id, InvalidArgument, with the store left empty), the heap
-  /// records are appended in batch order, and each of the three trees is
-  /// built bottom-up from its own sorted (key, location) run — leaves filled
-  /// back to back, no top-down descents. Identifier order is not document
-  /// order (a preorder walk returns from a child area, whose global index
-  /// is larger, to its parent's), so the batch is sorted, never assumed
-  /// sorted. Into a non-empty store this is a Put loop.
-  Status BulkLoadRecords(const std::vector<ElementRecord>& records);
 
   /// Scans all records of one UID-local area (one identifier-prefix range).
   Status ScanArea(const BigUint& global,
@@ -184,8 +159,9 @@ class ElementStore {
   /// Scans all records named `name` in ascending identifier order (document
   /// order within each area), seeded from the persistent name index —
   /// posting-list pages plus one heap read per match instead of a
-  /// full-store enumeration. Term-hash collisions are filtered against the
-  /// fetched record.
+  /// full-store enumeration. This is the paper's Sec. 4 by-name table
+  /// selection, held as one key range of the name-posting tree. Term-hash
+  /// collisions are filtered against the fetched record.
   Status ScanNameTerm(std::string_view name,
                       const std::function<bool(const ElementRecord&)>& fn);
 
@@ -249,12 +225,11 @@ class ElementStore {
 
   /// Scheme-free consistency battery over the secondary indexes: posting
   /// counts equal the record count, every posting's location resolves to a
-  /// record carrying that id and term, both posting trees validate
-  /// structurally, and every stored key passes the Bloom filter (the
-  /// never-false-negative contract). Corruption("[invariant-name] ...").
+  /// record carrying that id and term, and both posting trees validate
+  /// structurally. Corruption("[invariant-name] ...").
   Status VerifySecondaryIndexes();
 
-  /// Posting counts and Bloom load/false-positive estimates.
+  /// Posting counts of the name and path indexes.
   SecondaryIndexStats secondary_stats() const;
 
   /// Leaf-page compression accounting summed over the primary tree and
@@ -291,16 +266,15 @@ class ElementStore {
 
   ElementStore() = default;
 
-  /// One pass over a bulk load's records in input order: `visit` gets each
-  /// record with its resolved path term, and a non-OK status from it ends
-  /// the pass and is returned. Every pass yields the same records.
-  using RecordVisitor =
-      std::function<Status(const ElementRecord& record, uint64_t path_term)>;
+  /// One pass over a bulk load's records in document order: `visit` gets
+  /// each record, path term resolved, and a non-OK status from it ends the
+  /// pass and is returned. Every pass yields the same records.
+  using RecordVisitor = std::function<Status(const ElementRecord& record)>;
   using RecordWalk = std::function<Status(const RecordVisitor& visit)>;
 
-  /// The batch path of BulkLoad and BulkLoadRecords into an empty store:
-  /// one validating pass, one heap-append pass, then one pass per posting
-  /// tree. `size_hint` reserves the key buffer.
+  /// The batch path of BulkLoad into an empty store: one validating pass,
+  /// one heap-append pass, then one pass per posting tree. `size_hint`
+  /// reserves the key buffer.
   Status BulkBuild(size_t size_hint, const RecordWalk& walk);
 
   Result<uint64_t> AppendRecord(const ElementRecord& record,
@@ -310,14 +284,6 @@ class ElementStore {
   /// The record's path-index term: the caller-supplied value when set,
   /// otherwise derived from the parent record (see ElementRecord::path_term).
   Result<uint64_t> ResolvePathTerm(const ElementRecord& record);
-  /// Re-derives the Bloom filter from a primary-index key scan, sized with
-  /// headroom so rebuilds amortize.
-  Status RebuildBloom();
-  /// Serializes the Bloom filter into its page chain (called from Flush,
-  /// before the metadata that points at the chain head is written).
-  Status PersistBloom();
-  /// Walks the persisted chain back into memory (called from Open).
-  Status LoadBloom(uint32_t head, uint32_t word_count, uint64_t key_count);
 
   // Destruction order matters: the pool's destructor runs a final commit
   // through the journal, so pool_ must die before wal_ (and both before
@@ -328,11 +294,6 @@ class ElementStore {
   std::unique_ptr<BPlusTree> index_;
   std::unique_ptr<SecondaryIndex> name_index_;
   std::unique_ptr<SecondaryIndex> path_index_;
-  BloomFilter bloom_;
-  bool bloom_enabled_ = true;
-  /// The Bloom filter's persisted page chain, head first (mirrors the
-  /// on-disk next pointers so Flush can rewrite pages in place).
-  std::vector<uint32_t> bloom_pages_;
   uint32_t current_heap_page_ = kInvalidPage;
 };
 

@@ -42,9 +42,9 @@ constexpr uint32_t kPageUsableSize = kPageSize - kPageTrailerSize;
 /// Opens an anonymous temporary FILE* (the empty-path backing for Pager and
 /// WriteAheadLog). On Linux this is a memfd — an in-memory file that never
 /// touches a filesystem, roughly 40x cheaper to create than tmpfile(), which
-/// matters when a sharded store opens hundreds of temp files. Falls back to
-/// tmpfile() elsewhere (or if memfd creation fails). Returns nullptr on
-/// failure, like tmpfile().
+/// matters to tests and benchmarks that create many temp-backed stores.
+/// Falls back to tmpfile() elsewhere (or if memfd creation fails). Returns
+/// nullptr on failure, like tmpfile().
 std::FILE* OpenAnonymousTempFile();
 
 /// Writes the LSN + CRC trailer into `page` (kPageSize bytes).

@@ -2,16 +2,20 @@
 
 #include <cstring>
 
-#include "storage/bloom.h"
-
 namespace ruidx {
 namespace storage {
 
-uint64_t HashNameTerm(std::string_view name) {
-  return Fnv1a64(reinterpret_cast<const uint8_t*>(name.data()), name.size());
-}
-
 namespace {
+
+/// 64-bit FNV-1a over an arbitrary byte string.
+uint64_t Fnv1a64(const uint8_t* data, size_t len) {
+  uint64_t h = 1469598103934665603ULL;
+  for (size_t i = 0; i < len; ++i) {
+    h ^= data[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
 
 /// Seed distinguishing "path term for a root named x" from "name term for
 /// x" — the two index kinds share one hash function but never one term
@@ -30,6 +34,10 @@ uint64_t MixPath(uint64_t h) {
 }
 
 }  // namespace
+
+uint64_t HashNameTerm(std::string_view name) {
+  return Fnv1a64(reinterpret_cast<const uint8_t*>(name.data()), name.size());
+}
 
 uint64_t RootPathTerm(std::string_view root_name) {
   return MixPath(kPathSeed ^ HashNameTerm(root_name));

@@ -12,7 +12,7 @@ namespace ruidx {
 namespace sync_internal {
 namespace {
 
-// The deepest real chain is four locks (shard map → pool → wal/pager);
+// Real chains nest a few storage locks (pool → wal/pager, see LockRank);
 // 32 leaves an order of magnitude of headroom before the stack itself
 // aborts, which would only mean a runaway lock leak.
 constexpr int kMaxHeldLocks = 32;

@@ -89,8 +89,8 @@ namespace ruidx {
 // A thread may only acquire a mutex whose rank is STRICTLY LOWER than every
 // mutex it already holds (outermost locks have the highest rank). The table
 // is derived from the real nesting chains in the code; the deepest is
-//   shards_mu_ → pool mu_ → wal mu_ / pager mu_
-// (a sharded Flush committing a shard whose write-back journals and syncs).
+//   pool mu_ → wal mu_ / pager mu_
+// (a synchronous write-back that journals and syncs).
 // Violations abort in Debug builds with both ranks printed. New mutexes get
 // a row here and in DESIGN.md §13; equal ranks are never acquired nested
 // (the validator treats rank equality as a violation — on a non-recursive
@@ -101,8 +101,8 @@ enum class LockRank : int {
   /// per-call completion state, test-local mutexes. Never held while
   /// acquiring anything else.
   kLeafLatch = 10,
-  /// core::AncestorPathCache::mu_ — taken from query threads that may run
-  /// under a store scan (shards_mu_ held); never calls out while held.
+  /// core::AncestorPathCache::mu_ — taken from query threads; never calls
+  /// out while held.
   kAncestorCache = 20,
   /// core::SharedGlobalState::mu_ — the concurrent (κ, K) holder for the
   /// MVCC / network-server consumers; snapshot/store only, no calls out.
@@ -129,12 +129,8 @@ enum class LockRank : int {
   /// calls by the synchronous write-back path.
   kBufferPool = 60,
   /// util::ThreadPool::mu_ — task queue; workers release it before running
-  /// a task, so tasks may take any storage lock.
+  /// a task, so tasks may take any storage lock. The outermost rank.
   kThreadPool = 70,
-  /// storage::ShardedElementStore::shards_mu_ — the shard map; held across
-  /// whole-shard operations (Flush, scans, GetById), making it the
-  /// outermost lock in the system.
-  kShardMap = 80,
 };
 
 namespace sync_internal {

@@ -1,8 +1,8 @@
-// A small fixed-size thread pool for the bulk-labeling and bulk-load
-// pipelines. Deliberately work-stealing-free: tasks go through one shared
-// deque guarded by a single mutex. The parallel units we feed it (UID-local
-// areas, (name, global) shards) are coarse enough that queue contention is
-// negligible, and the simple design keeps the TSan story trivial.
+// A small fixed-size thread pool for the bulk-labeling pipeline.
+// Deliberately work-stealing-free: tasks go through one shared deque
+// guarded by a single mutex. The parallel units we feed it (UID-local
+// areas) are coarse enough that queue contention is negligible, and the
+// simple design keeps the TSan story trivial.
 #ifndef RUIDX_UTIL_THREAD_POOL_H_
 #define RUIDX_UTIL_THREAD_POOL_H_
 

@@ -1,10 +1,8 @@
 // Race stress for the two shared-state hot spots, meant to run under TSan:
 //  - AncestorPathCache: concurrent Ancestors/AncestorsPacked readers while
 //    an updater thread keeps invalidating (OnUpdate/Clear).
-//  - ShardedElementStore: concurrent Put streams on distinct element names
-//    (distinct shards) while readers scan a quiescent name and poll the
-//    shard map. Shard *contents* are single-writer by design, so writers
-//    never share a name.
+//  - BufferPool's background flusher: copy-out drains racing workers that
+//    pin, mutate and unpin disjoint page slices of a journaled pool.
 // The assertions are deliberately light — the point is the interleaving;
 // TSan (and the DCHECKs inside the production code) do the judging.
 #include <gtest/gtest.h>
@@ -17,9 +15,7 @@
 
 #include "core/ruid2.h"
 #include "storage/buffer_pool.h"
-#include "storage/sharded_store.h"
 #include "storage/wal.h"
-#include "testutil.h"
 #include "xml/generator.h"
 
 namespace ruidx {
@@ -76,84 +72,6 @@ TEST(RaceStressTest, AncestorCacheReadersDuringInvalidation) {
   for (const core::Ruid2Id& id : ids) {
     std::vector<core::Ruid2Id> chain = scheme.Ancestors(id);
     if (!(id == core::Ruid2RootId())) EXPECT_FALSE(chain.empty());
-  }
-}
-
-TEST(RaceStressTest, ShardedStoreWritersWithScanningReaders) {
-  auto store = storage::ShardedElementStore::Create("");
-  ASSERT_TRUE(store.ok());
-  storage::ShardedElementStore* s = store->get();
-
-  // Pre-populate a quiescent name the readers will scan: no writer touches
-  // "static", so its shards only ever see concurrent readers (which the
-  // shard-map lock serializes against shard *creation* by the writers).
-  constexpr int kStaticRecords = 40;
-  for (int i = 0; i < kStaticRecords; ++i) {
-    storage::ElementRecord record;
-    record.id = {BigUint(1), BigUint(static_cast<uint64_t>(i + 2)), false};
-    record.parent_id = core::Ruid2RootId();
-    record.name = "static";
-    record.value = "v" + std::to_string(i);
-    ASSERT_TRUE(s->Put(record).ok());
-  }
-
-  constexpr size_t kWriters = 3;
-  constexpr int kPerWriter = 150;
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> scanned{0};
-
-  // Each writer owns one element name — one shard set — so shard contents
-  // stay single-writer while the shard map takes concurrent inserts.
-  auto writer = [&](size_t w) {
-    const std::string name = "w" + std::to_string(w);
-    for (int i = 0; i < kPerWriter; ++i) {
-      storage::ElementRecord record;
-      record.id = {BigUint(2 + w), BigUint(static_cast<uint64_t>(i + 2)),
-                   false};
-      record.parent_id = core::Ruid2RootId();
-      record.name = name;
-      record.value = std::to_string(i);
-      ASSERT_TRUE(s->Put(record).ok());
-    }
-  };
-
-  auto reader = [&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      uint64_t seen = 0;
-      Status st = s->ScanName("static", [&](const storage::ElementRecord&) {
-        ++seen;
-        return true;
-      });
-      ASSERT_TRUE(st.ok());
-      ASSERT_EQ(seen, static_cast<uint64_t>(kStaticRecords));
-      (void)s->shard_count();
-      scanned.fetch_add(seen, std::memory_order_relaxed);
-    }
-  };
-
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < 2; ++t) threads.emplace_back(reader);
-  for (size_t w = 0; w < kWriters; ++w) threads.emplace_back(writer, w);
-  // Join writers (the last kWriters threads), then stop the readers.
-  for (size_t i = threads.size(); i > threads.size() - kWriters; --i) {
-    threads[i - 1].join();
-  }
-  stop.store(true);
-  for (size_t i = 0; i < threads.size() - kWriters; ++i) threads[i].join();
-
-  EXPECT_GT(scanned.load(), 0u);
-  // All writes landed; counting is safe now that the writers are quiet.
-  EXPECT_EQ(s->record_count(),
-            static_cast<uint64_t>(kStaticRecords + kWriters * kPerWriter));
-  for (size_t w = 0; w < kWriters; ++w) {
-    uint64_t seen = 0;
-    ASSERT_TRUE(s->ScanName("w" + std::to_string(w),
-                            [&](const storage::ElementRecord&) {
-                              ++seen;
-                              return true;
-                            })
-                    .ok());
-    EXPECT_EQ(seen, static_cast<uint64_t>(kPerWriter));
   }
 }
 

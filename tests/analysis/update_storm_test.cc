@@ -113,9 +113,9 @@ void RunStorm(uint64_t seed, bool packed_enabled) {
     ASSERT_EQ(report.nodes_checked, scheme.label_count());
 
     // Every few batches, materialize the relabeled document into a store
-    // and run the storage battery too — secondary-index coverage, posting
-    // order, and Bloom membership included (bounded: a fresh bulk load plus
-    // the on-disk checks cost more than the in-memory verifier).
+    // and run the storage battery too — secondary-index coverage and
+    // posting order included (bounded: a fresh bulk load plus the on-disk
+    // checks cost more than the in-memory verifier).
     if (batch % 4 == 3 || batch == kBatches - 1) {
       auto store = storage::ElementStore::Create("");
       ASSERT_TRUE(store.ok());

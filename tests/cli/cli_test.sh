@@ -58,14 +58,11 @@ DB="$TMPDIR/doc.db"
 "$TOOL" store "$DOC" "$DB" | expect_contains "store" "stored 12 records"
 [ -s "$DB" ] || fail "store: no database file written"
 
-# check with a file-backed store prints index stats and the shard histogram
+# check with a file-backed store prints index, snapshot and leaf stats
 CDB="$TMPDIR/doc_check.db"
 CHECK_OUT=$("$TOOL" check "$DOC" --store "$CDB")
 echo "$CHECK_OUT" | expect_contains "check --store" "OK "
 echo "$CHECK_OUT" | expect_contains "check --store index stats" "name postings"
-echo "$CHECK_OUT" | expect_contains "check --store bloom stats" "bits/key"
-echo "$CHECK_OUT" | expect_contains "check --store histogram" "size histogram:"
-echo "$CHECK_OUT" | expect_contains "check --store shard table" "largest shards"
 echo "$CHECK_OUT" | expect_contains "check --store compression" "bytes/key raw"
 echo "$CHECK_OUT" | expect_contains "check --store leaf fan-out" "avg leaf fan-out"
 echo "$CHECK_OUT" | expect_contains "check --store restart runs" "restart runs:"

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <utility>
@@ -13,6 +15,20 @@
 #include "xml/generator.h"
 
 namespace ruidx {
+namespace core {
+
+/// Gives one node the identifier another already carries — a labeling the
+/// public API cannot produce.
+class Ruid2SchemeTestPeer {
+ public:
+  static void DuplicateLabel(Ruid2Scheme* s, const xml::Node* src,
+                             const xml::Node* dup) {
+    s->labels_[dup->serial()] = s->labels_.at(src->serial());
+  }
+};
+
+}  // namespace core
+
 namespace storage {
 namespace {
 
@@ -213,15 +229,23 @@ TEST(ElementStoreEdgeTest, PersistsAcrossReopen) {
 
 TEST(ElementStoreEdgeTest, OpenRejectsGarbageFile) {
   std::string path = ::testing::TempDir() + "/ruidx_garbage.db";
-  {
+  std::vector<char> junk(kPageSize, 'x');
+  // A page 0 stamped by the earlier meta layout ("RXS4", which also named
+  // a filter page chain) and otherwise zero, so its trailer passes.
+  std::vector<char> rxs4(kPageSize, 0);
+  const uint32_t rxs4_magic = 0x52585334;
+  std::memcpy(rxs4.data(), &rxs4_magic, 4);
+  for (const std::vector<char>* page : {&junk, &rxs4}) {
+    std::remove((path + ".wal").c_str());
     std::FILE* f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
-    std::vector<char> junk(kPageSize, 'x');
-    std::fwrite(junk.data(), 1, junk.size(), f);
+    std::fwrite(page->data(), 1, page->size(), f);
     std::fclose(f);
+    auto store = ElementStore::Open(path);
+    EXPECT_TRUE(store.status().IsCorruption()) << store.status().ToString();
   }
-  EXPECT_FALSE(ElementStore::Open(path).ok());
   std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
 }
 
 TEST(ElementStoreEdgeTest, LargeDocumentManyPages) {
@@ -367,109 +391,143 @@ TEST(ElementStoreBulkLoadTest, MatchesPutLoopOnManyAreaDocument) {
 
 TEST(ElementStoreBulkLoadTest, FailedBatchLeavesStoreEmpty) {
   auto doc = ManyAreaXmark();
-  core::Ruid2Scheme scheme;
-  scheme.Build(doc->root());
-  std::vector<ElementRecord> records;
-  for (xml::Node* n : ruidx::testing::AllNodes(doc->root())) {
-    records.push_back(RecordOf(scheme, doc->root(), n));
-  }
   auto created = ElementStore::Create("", 32);
   ASSERT_TRUE(created.ok());
   ElementStore* store = created->get();
-  uint64_t allocations = store->pager_stats().allocations;
+  const uint64_t allocations = store->pager_stats().allocations;
+  auto expect_empty = [&] {
+    EXPECT_EQ(store->record_count(), 0u);
+    EXPECT_EQ(store->secondary_stats().name_postings, 0u);
+    EXPECT_EQ(store->secondary_stats().path_postings, 0u);
+    EXPECT_EQ(store->pager_stats().allocations, allocations)
+        << "a refused batch must not append to the heap";
+  };
 
-  // Last in document order: a global index past 96 bits fits the primary
-  // key but not a posting key.
-  std::vector<ElementRecord> too_wide = records;
-  ElementRecord wide = records.back();
-  wide.id.global = BigUint::Pow(BigUint(2), 100);
-  wide.parent_id = records.front().id;
-  too_wide.push_back(wide);
-  Status status = store->BulkLoadRecords(too_wide);
-  EXPECT_TRUE(status.IsCapacityExceeded()) << status.ToString();
-  EXPECT_EQ(store->record_count(), 0u);
-  EXPECT_EQ(store->secondary_stats().name_postings, 0u);
-  EXPECT_EQ(store->secondary_stats().path_postings, 0u);
+  // Last in document order: a text node too large for a heap page.
+  xml::Node* big = doc->CreateText(std::string(kPageSize, 'x'));
+  ASSERT_TRUE(doc->AppendChild(doc->root(), big).ok());
+  {
+    core::Ruid2Scheme scheme;
+    scheme.Build(doc->root());
+    Status status = store->BulkLoad(scheme, doc->root());
+    EXPECT_TRUE(status.IsCapacityExceeded()) << status.ToString();
+    expect_empty();
+  }
+  ASSERT_TRUE(doc->RemoveSubtree(big).ok());
 
-  // A repeated identifier is refused the same way.
-  std::vector<ElementRecord> repeated = records;
-  repeated.push_back(records[records.size() / 2]);
-  status = store->BulkLoadRecords(repeated);
-  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
-  EXPECT_EQ(store->record_count(), 0u);
-  EXPECT_EQ(store->pager_stats().allocations, allocations)
-      << "a refused batch must not append to the heap";
+  // Two nodes sharing one identifier, the second of them last.
+  std::vector<xml::Node*> nodes = ruidx::testing::AllNodes(doc->root());
+  {
+    core::Ruid2Scheme scheme;
+    scheme.Build(doc->root());
+    core::Ruid2SchemeTestPeer::DuplicateLabel(&scheme, nodes[nodes.size() / 2],
+                                              nodes.back());
+    Status status = store->BulkLoad(scheme, doc->root());
+    EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+    expect_empty();
+  }
 
-  // The store is still empty, so the valid batch takes the batch path.
-  ASSERT_TRUE(store->BulkLoadRecords(records).ok());
-  EXPECT_EQ(store->record_count(), records.size());
-  Status check = store->VerifySecondaryIndexes();
+  // The store is still empty, so the valid load takes the batch path.
+  core::Ruid2Scheme scheme;
+  scheme.Build(doc->root());
+  ASSERT_TRUE(store->BulkLoad(scheme, doc->root()).ok());
+  EXPECT_EQ(store->record_count(), nodes.size());
+  Status check = analysis::CheckStoreInvariants(scheme, doc->root(), store);
   EXPECT_TRUE(check.ok()) << check.ToString();
 }
 
-TEST(ElementStoreBloomTest, FalsePositiveRateRecoversAfterChurn) {
-  // The filter is add-only, so deletions leave their bits set: without the
-  // tombstone-triggered rebuild, a delete-heavy store answers "probably
-  // here" for most of its REMOVED keys forever. This is the regression
-  // test for that drift.
-  auto created = ElementStore::Create("", 32);
+// Sec. 4's by-name table selection is one key range of the name-posting
+// tree: it reads that range and the matching records, not the whole store.
+TEST(ElementStoreSelectionTest, NamePostingScanTouchesFewerPagesThanFullScan) {
+  auto doc = xml::GenerateDblpLike(120);
+  core::PartitionOptions options;
+  options.max_area_nodes = 24;
+  options.max_area_depth = 3;
+  core::Ruid2Scheme scheme(options);
+  scheme.Build(doc->root());
+  auto store = ElementStore::Create("");
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE((*store)->BulkLoad(scheme, doc->root()).ok());
+  ASSERT_TRUE((*store)->Flush().ok());
+
+  std::vector<std::string> expected;
+  for (xml::Node* n : ruidx::testing::AllNodes(doc->root())) {
+    if (n->name() == "year") expected.push_back(scheme.label(n).ToString());
+  }
+  ASSERT_FALSE(expected.empty());
+
+  (*store)->ResetStats();
+  std::vector<std::string> years;
+  ASSERT_TRUE((*store)
+                  ->ScanNameTerm("year",
+                                 [&](const ElementRecord& record) {
+                                   years.push_back(record.id.ToString());
+                                   return true;
+                                 })
+                  .ok());
+  const uint64_t selective_io = (*store)->logical_page_accesses();
+
+  (*store)->ResetStats();
+  uint64_t all = 0;
+  ASSERT_TRUE((*store)
+                  ->ScanAll([&](const BPlusTree::Key&, const ElementRecord&) {
+                    ++all;
+                    return true;
+                  })
+                  .ok());
+  const uint64_t full_io = (*store)->logical_page_accesses();
+
+  std::sort(expected.begin(), expected.end());
+  std::sort(years.begin(), years.end());
+  EXPECT_EQ(years, expected);
+  EXPECT_EQ(all, (*store)->record_count());
+  EXPECT_LT(selective_io, full_io / 2)
+      << selective_io << " pages for the selection, " << full_io
+      << " for the full scan";
+}
+
+// A commit writes back the pages its transaction dirtied: for one fresh
+// record, a heap page, one leaf of each of the three trees and the meta
+// page, plus the occasional split. Nothing else may grow with the store.
+TEST(ElementStoreCommitTest, FreshPutCommitWritesAFewPages) {
+  xml::XmarkConfig config;
+  config.items *= 10;
+  config.people *= 10;
+  config.open_auctions *= 10;
+  config.closed_auctions *= 10;
+  config.categories *= 10;
+  auto doc = xml::GenerateXmarkLike(config);
+  core::Ruid2Scheme scheme;
+  scheme.Build(doc->root());
+  ASSERT_GT(scheme.label_count(), 20000u);
+  auto created = ElementStore::Create("", 256);
   ASSERT_TRUE(created.ok());
   ElementStore* store = created->get();
-  constexpr uint64_t kN = 2000;
-  constexpr uint64_t kRemoved = 1500;
-  auto make_id = [](uint64_t i) {
-    core::Ruid2Id id;
-    id.global = BigUint(1 + i / 64);
-    id.local = BigUint(2 + i % 64);
-    id.is_area_root = false;
-    return id;
-  };
-  for (uint64_t i = 0; i < kN; ++i) {
-    ElementRecord record;
-    record.id = make_id(i);
-    record.parent_id = make_id(i);
-    record.node_type = 1;
-    record.name = "n" + std::to_string(i % 16);
-    record.value = "v";
-    ASSERT_TRUE(store->Put(record).ok());
-  }
-  // Delete three quarters of the keys. Each Remove reports a tombstone;
-  // the store rebuilds the filter from the primary index every time the
-  // drift threshold trips, so by the end the filter describes ~500 live
-  // keys — not 2000 ghosts.
-  for (uint64_t i = 0; i < kRemoved; ++i) {
-    ASSERT_TRUE(store->Remove(make_id(i)).ok());
-  }
-
-  SecondaryIndexStats stats = store->secondary_stats();
-  // A rebuild happened recently enough that the counter is back below the
-  // trigger (tombstones >= 64 AND > a quarter of the keys).
-  EXPECT_LT(stats.bloom.tombstones, 64 + (kN - kRemoved) / 4);
-  // The filter is add-only between rebuilds, so key_count is the live keys
-  // at the last rebuild plus tombstones accrued since. Steady state obeys
-  // the no-trip condition (K - live) * 4 <= K, i.e. K <= 4/3 * live — far
-  // below the 2000 ghosts an unrebuilt filter would carry.
-  EXPECT_GE(stats.bloom.key_count, kN - kRemoved);
-  EXPECT_LE(stats.bloom.key_count, 64 + (kN - kRemoved) * 4 / 3);
-
-  // No false negatives, ever: every live key still passes.
-  for (uint64_t i = kRemoved; i < kN; ++i) {
-    EXPECT_TRUE(store->MayContainId(make_id(i)));
-  }
-  // The drift is gone: removed keys are vetoed again at roughly the
-  // filter's nominal FP rate (~1%; without the rebuild every single one
-  // of the 1500 would still pass).
-  uint64_t ghosts = 0;
-  for (uint64_t i = 0; i < kRemoved; ++i) {
-    if (store->MayContainId(make_id(i))) ++ghosts;
-  }
-  EXPECT_LT(ghosts, kRemoved / 10);
-
-  // The rebuilt filter round-trips through Flush + reopen-style Restore
-  // with the tombstone counter cleared (checked via live stats here; the
-  // persistence path is covered by PersistsAcrossReopen).
+  ASSERT_TRUE(store->BulkLoad(scheme, doc->root()).ok());
   ASSERT_TRUE(store->Flush().ok());
-  EXPECT_TRUE(store->VerifySecondaryIndexes().ok());
+
+  std::vector<xml::Node*> elements;
+  for (xml::Node* n : ruidx::testing::AllNodes(doc->root())) {
+    if (n->is_element()) elements.push_back(n);
+  }
+  constexpr uint64_t kCommits = 50;
+  const uint64_t before = store->pager_stats().physical_writes;
+  for (uint64_t i = 0; i < kCommits; ++i) {
+    // Spread over the document, so the keys land on different leaves.
+    const core::Ruid2Id& parent =
+        scheme.label(elements[(i * 7919) % elements.size()]);
+    ElementRecord record;
+    record.id = core::Ruid2Id{parent.global, BigUint(1000000 + i), false};
+    record.parent_id = parent;
+    record.node_type = static_cast<uint8_t>(xml::NodeType::kElement);
+    record.name = "fresh";
+    ASSERT_TRUE(store->Put(record).ok());
+    ASSERT_TRUE(store->Flush().ok());
+  }
+  const double per_commit =
+      static_cast<double>(store->pager_stats().physical_writes - before) /
+      kCommits;
+  EXPECT_LE(per_commit, 6.0) << per_commit << " page writes per commit";
 }
 
 }  // namespace

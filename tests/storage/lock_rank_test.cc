@@ -1,13 +1,13 @@
 // Positive exercise of the runtime lock-rank validator (util/sync.h): run
 // the deepest real lock-nesting chains in the system — a small-pool
 // ElementStore with its background flusher (pool mutex over wal/pager
-// mutexes, flusher queue, commit latches), a parallel ShardedElementStore
-// BulkLoad (shard map, thread pool, per-shard pools), and ancestor-cache
-// invalidation racing readers — and require that everything completes
-// without a rank abort. In dcheck builds every Lock() in these paths runs
-// rank validation, so this test IS the proof that the documented global
-// order matches the code's actual nesting; in NDEBUG builds it degrades to
-// a plain integration smoke test.
+// mutexes, flusher queue, commit latches), parallel labeling (thread pool,
+// completion latches) followed by a bulk load into a small-pool store, and
+// ancestor-cache invalidation racing readers — and require that everything
+// completes without a rank abort. In dcheck builds every Lock() in these
+// paths runs rank validation, so this test IS the proof that the documented
+// global order matches the code's actual nesting; in NDEBUG builds it
+// degrades to a plain integration smoke test.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,7 +17,6 @@
 
 #include "core/ruid2.h"
 #include "storage/element_store.h"
-#include "storage/sharded_store.h"
 #include "util/sync.h"
 #include "util/thread_pool.h"
 #include "xml/generator.h"
@@ -37,8 +36,7 @@ TEST(LockRankTest, FlusherCommitChainRunsCleanUnderValidator) {
   // Tiny pool: evictions run the synchronous write-back chain (pool mutex
   // held across wal sync + pager write); the flusher adds the async drain
   // and commit-latch chains on top.
-  auto store = ElementStore::Create("", /*buffer_pool_pages=*/8,
-                                    /*background_flusher=*/true);
+  auto store = ElementStore::Create("", /*buffer_pool_pages=*/8);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
 
   auto doc = xml::GenerateDblpLike(200);
@@ -61,15 +59,17 @@ TEST(LockRankTest, FlusherCommitChainRunsCleanUnderValidator) {
   EXPECT_TRUE((*store)->VerifyOnDisk().ok());
 }
 
-TEST(LockRankTest, ParallelBulkLoadAndCacheInvalidationRunClean) {
+TEST(LockRankTest, ParallelLabelBulkLoadAndCacheInvalidationRunClean) {
   auto doc = xml::GenerateDblpLike(300);
   core::Ruid2Scheme scheme(SmallAreas());
-  scheme.Build(doc->root());
+  util::ThreadPool pool(4);
+  scheme.Build(doc->root(), &pool);
 
   // Readers keep the ancestor-cache mutex hot while the bulk load drives
-  // the shard map / thread pool / per-shard pool chains, and an updater
-  // thread interleaves invalidations — together every rank in the table
-  // below kShardMap gets acquired, in every real combination.
+  // the pool / flusher / wal / pager chains of an 8-page store, and an
+  // updater thread interleaves invalidations — together with the parallel
+  // labeling above, every rank in the table gets acquired, in every real
+  // combination.
   std::vector<core::Ruid2Id> ids;
   scheme.ForEachLabeled(
       [&](xml::Node*, const core::Ruid2Id& id) { ids.push_back(id); });
@@ -87,18 +87,16 @@ TEST(LockRankTest, ParallelBulkLoadAndCacheInvalidationRunClean) {
     }
   });
 
-  auto sharded = ShardedElementStore::Create("", /*pages=*/8);
-  ASSERT_TRUE(sharded.ok());
-  util::ThreadPool pool(4);
-  Status load = (*sharded)->BulkLoad(scheme, doc->root(), &pool);
+  auto store = ElementStore::Create("", /*buffer_pool_pages=*/8);
+  ASSERT_TRUE(store.ok());
+  Status load = (*store)->BulkLoad(scheme, doc->root());
   stop.store(true);
   cache_churn.join();
   ASSERT_TRUE(load.ok()) << load.ToString();
 
-  // shards_mu_ held across whole-shard commits — the outermost chain.
-  ASSERT_TRUE((*sharded)->Flush().ok());
-  ASSERT_TRUE((*sharded)->VerifyOnDisk().ok());
-  EXPECT_GT((*sharded)->record_count(), 0u);
+  ASSERT_TRUE((*store)->Flush().ok());
+  ASSERT_TRUE((*store)->VerifyOnDisk().ok());
+  EXPECT_EQ((*store)->record_count(), scheme.label_count());
 }
 
 TEST(LockRankTest, ValidatorCompiledStateMatchesBuild) {

@@ -22,7 +22,6 @@
 
 #include "storage/element_store.h"
 #include "storage/flusher.h"
-#include "storage/sharded_store.h"
 #include "xml/parser.h"
 #include "xpath/structural_join.h"
 
@@ -32,15 +31,14 @@ namespace storage {
 /// Reaches the store's internals the way the invariant-checker peer does:
 /// the group-commit tests drive the POOL's FlushAll concurrently (the
 /// store-level Flush is single-writer by contract — its meta write is not
-/// synchronized), so they stage the meta/bloom pages once and then hammer
-/// the pool directly.
+/// synchronized), so they stage the meta page once and then hammer the
+/// pool directly.
 class ElementStoreTestPeer {
  public:
   static BufferPool* pool(ElementStore* store) { return store->pool_.get(); }
   static WriteAheadLog* wal(ElementStore* store) { return store->wal_.get(); }
   /// Everything ElementStore::Flush does before the pool commit.
   static Status PrepareCommit(ElementStore* store) {
-    RUIDX_RETURN_NOT_OK(store->PersistBloom());
     return store->WriteMeta();
   }
 };
@@ -556,7 +554,7 @@ TEST(MvccStoreTest, GroupCommitCrashSweepRecoversAllOrNothing) {
       for (uint64_t i = 0; i < kN; i += 2) {
         ASSERT_TRUE(store->Put(MakeRecord(i, "new")).ok());
       }
-      // Stage the meta/bloom pages once (the store-level half of Flush),
+      // Stage the meta page once (the store-level half of Flush),
       // then run the pool commit from two threads with the crash armed —
       // the flusher absorbs them into one protocol run.
       ASSERT_TRUE(ElementStoreTestPeer::PrepareCommit(store).ok());
@@ -605,60 +603,6 @@ TEST(MvccStoreTest, GroupCommitCrashSweepRecoversAllOrNothing) {
   EXPECT_GT(fault, 5u);
   std::remove(path.c_str());
   std::remove((path + ".wal").c_str());
-}
-
-TEST(MvccShardedTest, SnapshotSpansEveryShardAtOneCommitBoundary) {
-  auto created = ShardedElementStore::Create("");
-  ASSERT_TRUE(created.ok());
-  ShardedElementStore* store = created->get();
-  constexpr uint64_t kN = 60;
-  for (uint64_t i = 0; i < kN; ++i) {
-    ASSERT_TRUE(store->Put(MakeRecord(i, "old")).ok());
-  }
-  ASSERT_TRUE(store->Flush().ok());
-
-  auto snap = store->OpenSnapshot();
-  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
-  EXPECT_EQ((*snap)->shard_count(), store->shard_count());
-  EXPECT_EQ((*snap)->record_count(), kN);
-
-  // Churn across every shard, plus a brand-new shard, then commit.
-  for (uint64_t i = 0; i < kN; ++i) {
-    ASSERT_TRUE(store->Put(MakeRecord(i, "new")).ok());
-  }
-  ElementRecord fresh = MakeRecord(kN, "fresh");
-  fresh.name = "brand_new_name";
-  ASSERT_TRUE(store->Put(fresh).ok());
-  ASSERT_TRUE(store->Flush().ok());
-
-  // The view still resolves every record to the first commit, through all
-  // three read paths.
-  auto got = (*snap)->Get(MakeRecord(3, "").name, MakeId(3));
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(got->value, "old");
-  auto by_id = (*snap)->GetById(MakeId(7));
-  ASSERT_TRUE(by_id.ok());
-  EXPECT_EQ(by_id->value, "old");
-  uint64_t hits = 0;
-  ASSERT_TRUE((*snap)
-                  ->ScanName("n2",
-                             [&](const ElementRecord& record) {
-                               EXPECT_EQ(record.value, "old");
-                               ++hits;
-                               return true;
-                             })
-                  .ok());
-  EXPECT_GT(hits, 0u);
-  // The post-snapshot shard does not exist in the view.
-  EXPECT_EQ((*snap)->record_count(), kN);
-
-  // A fresh view sees the new world.
-  auto snap2 = store->OpenSnapshot();
-  ASSERT_TRUE(snap2.ok());
-  EXPECT_EQ((*snap2)->record_count(), kN + 1);
-  auto fresh_got = (*snap2)->GetById(MakeId(kN));
-  ASSERT_TRUE(fresh_got.ok());
-  EXPECT_EQ(fresh_got->value, "fresh");
 }
 
 TEST(MvccJoinTest, JoinFromSnapshotMatchesLiveJoin) {

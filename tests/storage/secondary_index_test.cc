@@ -1,6 +1,6 @@
-// The persistent secondary-index subsystem: Bloom filter basics, posting
-// key order, name/path index maintenance across Put/Remove/overwrite,
-// persistence across reopen, and the sharded store's Bloom shard pruning.
+// The persistent secondary-index subsystem: posting key order, name/path
+// index maintenance across Put/Remove/overwrite, and persistence across
+// reopen.
 #include "storage/secondary_index.h"
 
 #include <gtest/gtest.h>
@@ -11,9 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "storage/bloom.h"
 #include "storage/element_store.h"
-#include "storage/sharded_store.h"
 #include "testutil.h"
 
 namespace ruidx {
@@ -38,58 +36,6 @@ ElementRecord MakeRecord(uint64_t i, const std::string& name,
   record.name = name;
   record.value = value;
   return record;
-}
-
-// --- BloomFilter --------------------------------------------------------------
-
-TEST(BloomFilterTest, NeverFalseNegative) {
-  BloomFilter bloom = BloomFilter::ForExpectedKeys(1000);
-  for (uint64_t i = 0; i < 1000; ++i) {
-    uint8_t bytes[8];
-    std::memcpy(bytes, &i, 8);
-    bloom.Add(Fnv1a64(bytes, 8));
-  }
-  for (uint64_t i = 0; i < 1000; ++i) {
-    uint8_t bytes[8];
-    std::memcpy(bytes, &i, 8);
-    EXPECT_TRUE(bloom.MayContain(Fnv1a64(bytes, 8))) << i;
-  }
-}
-
-TEST(BloomFilterTest, FalsePositiveRateNearTarget) {
-  BloomFilter bloom = BloomFilter::ForExpectedKeys(2000);
-  for (uint64_t i = 0; i < 2000; ++i) {
-    uint8_t bytes[8];
-    std::memcpy(bytes, &i, 8);
-    bloom.Add(Fnv1a64(bytes, 8));
-  }
-  uint64_t false_positives = 0;
-  for (uint64_t i = 2000; i < 22000; ++i) {
-    uint8_t bytes[8];
-    std::memcpy(bytes, &i, 8);
-    if (bloom.MayContain(Fnv1a64(bytes, 8))) ++false_positives;
-  }
-  // ~10 bits/key, 7 hashes → ~1% expected; allow generous slack.
-  EXPECT_LT(false_positives, 20000 * 0.05)
-      << bloom.Stats().estimated_fpr;
-  EXPECT_GT(bloom.Stats().bits_per_key, 8.0);
-}
-
-TEST(BloomFilterTest, RestoreRoundTrips) {
-  BloomFilter bloom = BloomFilter::ForExpectedKeys(100);
-  for (uint64_t h : {7ULL, 99ULL, 12345ULL}) bloom.Add(h);
-  BloomFilter copy;
-  copy.Restore(std::vector<uint64_t>(bloom.words()), bloom.key_count());
-  for (uint64_t h : {7ULL, 99ULL, 12345ULL}) EXPECT_TRUE(copy.MayContain(h));
-  EXPECT_EQ(copy.key_count(), 3u);
-}
-
-TEST(BloomFilterTest, OverloadSignal) {
-  BloomFilter bloom(BloomFilter::kMinBits);  // 1024 bits → ~102 keys at 10b/k
-  for (uint64_t i = 0; i < 102; ++i) bloom.Add(i * 2654435761ULL);
-  EXPECT_FALSE(bloom.Overloaded());
-  for (uint64_t i = 102; i < 110; ++i) bloom.Add(i * 2654435761ULL);
-  EXPECT_TRUE(bloom.Overloaded());
 }
 
 // --- Posting keys -------------------------------------------------------------
@@ -281,83 +227,23 @@ TEST(ElementStoreIndexTest, IndexesSurviveReopenAndRecovery) {
                   })
                   .ok());
   EXPECT_EQ(tags, 120u);
-  // The restored Bloom filter answers misses without tree descents, and
-  // never vetoes a stored id.
-  EXPECT_FALSE((*reopened)->MayContainId(MakeId(77, 999)));
+  // Every committed id is found; the rolled-back one and a never-stored one
+  // are not.
   for (uint64_t i = 0; i < 120; ++i) {
-    EXPECT_TRUE((*reopened)->MayContainId(MakeId(1, 2 + i))) << i;
+    auto exists = (*reopened)->Exists(MakeId(1, 2 + i));
+    ASSERT_TRUE(exists.ok());
+    EXPECT_TRUE(*exists) << i;
+  }
+  for (const core::Ruid2Id& missing : {MakeId(1, 502), MakeId(77, 999)}) {
+    auto exists = (*reopened)->Exists(missing);
+    ASSERT_TRUE(exists.ok());
+    EXPECT_FALSE(*exists) << missing.ToString();
   }
   SecondaryIndexStats stats = (*reopened)->secondary_stats();
   EXPECT_EQ(stats.name_postings, 120u);
   EXPECT_EQ(stats.path_postings, 120u);
-  EXPECT_EQ(stats.bloom.key_count, 120u);
   std::remove(path.c_str());
   std::remove((path + ".wal").c_str());
-}
-
-TEST(ElementStoreIndexTest, BloomRebuildKeepsContract) {
-  auto store = ElementStore::Create("");
-  ASSERT_TRUE(store.ok());
-  // Far past the initial 1024-bit filter's capacity: forces rebuilds.
-  for (uint64_t i = 0; i < 600; ++i) {
-    ASSERT_TRUE((*store)->Put(MakeRecord(i, "n" + std::to_string(i))).ok());
-  }
-  for (uint64_t i = 0; i < 600; ++i) {
-    EXPECT_TRUE((*store)->MayContainId(MakeId(1, 2 + i))) << i;
-  }
-  SecondaryIndexStats stats = (*store)->secondary_stats();
-  EXPECT_GE(stats.bloom.bit_count, 600 * BloomFilter::kTargetBitsPerKey);
-  EXPECT_TRUE((*store)->VerifySecondaryIndexes().ok());
-}
-
-// --- Sharded Bloom pruning ----------------------------------------------------
-
-TEST(ShardedStoreIndexTest, GetByIdSkipsShardsViaBloom) {
-  auto doc = ruidx::testing::MustParse(
-      "<r><a><x/><y/><z/></a><b><x/><y/></b><c><z/><w/><v/><u/></c></r>");
-  core::PartitionOptions one_area;
-  one_area.max_area_nodes = 1000;  // all nodes share one area → many names
-  core::Ruid2Scheme scheme(one_area);
-  scheme.Build(doc->root());
-  auto store = ShardedElementStore::Create("");
-  ASSERT_TRUE(store.ok());
-  ASSERT_TRUE((*store)->BulkLoad(scheme, doc->root()).ok());
-  ASSERT_GT((*store)->shard_count(), 5u);
-
-  // Hits: every labeled node must be found without knowing its name.
-  xml::PreorderTraverse(doc->root(), [&](xml::Node* n, int) {
-    auto record = (*store)->GetById(scheme.label(n));
-    EXPECT_TRUE(record.ok()) << n->name();
-    if (record.ok()) EXPECT_EQ(record->name, n->name());
-    return true;
-  });
-
-  // Misses: ids from the same area that were never stored. Every candidate
-  // shard should be Bloom-skipped (false positives allowed but rare).
-  (*store)->ResetStats();
-  const BigUint area = scheme.label(doc->root()).global;
-  for (uint64_t l = 5000; l < 5200; ++l) {
-    core::Ruid2Id id;
-    id.global = area;
-    id.local = BigUint(l);
-    EXPECT_FALSE((*store)->GetById(id).ok());
-  }
-  ShardedElementStore::ShardProbeStats probes = (*store)->probe_stats();
-  EXPECT_EQ(probes.lookups, 200u);
-  ASSERT_GT(probes.candidate_shards, 0u);
-  // ≥90% of candidate shards pruned without a tree descent.
-  EXPECT_GE(probes.bloom_skips * 10, probes.candidate_shards * 9)
-      << probes.bloom_skips << "/" << probes.candidate_shards;
-
-  // The histogram rows agree with the shard map.
-  auto infos = (*store)->ShardInfos();
-  EXPECT_EQ(infos.size(), (*store)->shard_count());
-  uint64_t total = 0;
-  for (const auto& info : infos) {
-    EXPECT_EQ(info.index.name_postings, info.records);
-    total += info.records;
-  }
-  EXPECT_EQ(total, (*store)->record_count());
 }
 
 }  // namespace

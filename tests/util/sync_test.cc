@@ -76,8 +76,8 @@ TEST(SyncTest, CondVarWaitLoopSeesNotification) {
 
 TEST(SyncTest, NestingInRankOrderIsAccepted) {
   // Strictly decreasing ranks down the chain — exactly the discipline the
-  // storage stack follows (shard map over pool over wal over pager).
-  Mutex outer(LockRank::kShardMap, "sync_test.outer");
+  // storage stack follows (pool over wal over pager).
+  Mutex outer(LockRank::kThreadPool, "sync_test.outer");
   Mutex middle(LockRank::kBufferPool, "sync_test.middle");
   Mutex inner(LockRank::kPager, "sync_test.inner");
   MutexLock a(&outer);
@@ -142,7 +142,7 @@ TEST(SyncDeathTest, ViolationReportNamesTheHeldStack) {
   // inversion is readable from one crash.
   EXPECT_DEATH(
       {
-        Mutex outer(LockRank::kShardMap, "sync_test.stack_outer");
+        Mutex outer(LockRank::kThreadPool, "sync_test.stack_outer");
         Mutex inner(LockRank::kPager, "sync_test.stack_inner");
         MutexLock a(&outer);
         MutexLock b(&inner);

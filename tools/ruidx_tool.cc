@@ -25,7 +25,6 @@
 #include "core/ruid2.h"
 #include "core/global_state.h"
 #include "storage/element_store.h"
-#include "storage/sharded_store.h"
 #include "storage/streaming_labeler.h"
 #include "util/table_printer.h"
 #include "xml/parser.h"
@@ -322,63 +321,6 @@ int CmdStream(const std::string& path, const std::vector<std::string>& args,
   return 0;
 }
 
-/// Sharded layout report for `check --store`: loads the document into the
-/// paper's per-(name, area) table layout and prints the shard-size
-/// histogram plus per-shard secondary-index stats for the largest shards.
-int PrintShardReport(const core::Ruid2Scheme& scheme, xml::Node* root) {
-  auto sharded = storage::ShardedElementStore::Create("");
-  if (!sharded.ok()) {
-    std::fprintf(stderr, "%s\n", sharded.status().ToString().c_str());
-    return 1;
-  }
-  if (Status st = (*sharded)->BulkLoad(scheme, root); !st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 1;
-  }
-  std::vector<storage::ShardedElementStore::ShardInfo> infos =
-      (*sharded)->ShardInfos();
-
-  // Decade histogram over records-per-shard.
-  std::vector<uint64_t> buckets;
-  for (const auto& info : infos) {
-    size_t b = 0;
-    for (uint64_t lo = 10; info.records >= lo; lo *= 10) ++b;
-    if (buckets.size() <= b) buckets.resize(b + 1, 0);
-    ++buckets[b];
-  }
-  std::cout << "shards: " << infos.size() << " across "
-            << (*sharded)->record_count() << " records; size histogram:";
-  uint64_t lo = 1;
-  for (uint64_t count : buckets) {
-    std::cout << " [" << lo << ".." << (lo * 10 - 1) << "]=" << count;
-    lo *= 10;
-  }
-  std::cout << "\n";
-
-  std::sort(infos.begin(), infos.end(),
-            [](const storage::ShardedElementStore::ShardInfo& a,
-               const storage::ShardedElementStore::ShardInfo& b) {
-              return a.records > b.records;
-            });
-  constexpr size_t kTopShards = 8;
-  TablePrinter table("largest shards (of " + std::to_string(infos.size()) +
-                     ")");
-  table.SetHeader({"shard", "records", "name postings", "path postings",
-                   "bloom bits/key", "est. fpr %"});
-  for (size_t i = 0; i < infos.size() && i < kTopShards; ++i) {
-    const auto& info = infos[i];
-    table.AddRow({info.name + "-" + info.global.ToDecimalString(),
-                  TablePrinter::FormatCount(info.records),
-                  TablePrinter::FormatCount(info.index.name_postings),
-                  TablePrinter::FormatCount(info.index.path_postings),
-                  TablePrinter::FormatDouble(info.index.bloom.bits_per_key, 1),
-                  TablePrinter::FormatDouble(
-                      info.index.bloom.estimated_fpr * 100.0, 3)});
-  }
-  table.Print();
-  return 0;
-}
-
 int CmdCheck(const std::string& path, const CommonOptions& options) {
   auto doc = LoadDocument(path);
   if (!doc.ok()) {
@@ -429,14 +371,7 @@ int CmdCheck(const std::string& path, const CommonOptions& options) {
                 << ps.flusher_drains << " flusher drains\n";
       storage::SecondaryIndexStats sec = (*store)->secondary_stats();
       std::cout << "index: " << sec.name_postings << " name postings, "
-                << sec.path_postings << " path postings; bloom "
-                << sec.bloom.bit_count << " bits / " << sec.bloom.key_count
-                << " keys ("
-                << TablePrinter::FormatDouble(sec.bloom.bits_per_key, 1)
-                << " bits/key, est. fpr "
-                << TablePrinter::FormatDouble(sec.bloom.estimated_fpr * 100.0,
-                                              3)
-                << "%)\n";
+                << sec.path_postings << " path postings\n";
       // MVCC view: open a committed snapshot, scan every record through it
       // (exercising the snapshot read path end to end), then report the
       // snapshot-table counters while the handle is still live.
@@ -498,7 +433,6 @@ int CmdCheck(const std::string& path, const CommonOptions& options) {
         }
         std::cout << "\n";
       }
-      if (int rc = PrintShardReport(scheme, root); rc != 0) return rc;
     }
   }
   if (!st.ok()) {
