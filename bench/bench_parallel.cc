@@ -1,18 +1,13 @@
-// E13 — the parallel bulk-labeling pipeline and the per-area ancestor-path
-// cache. Not a paper table: the paper's Sec. 5 measures single-threaded
-// enumeration cost; this bench regenerates that labeling path at production
-// scale and shows (a) how labeling scales with worker threads (UID-local
-// areas are the independent units of parallelism), and (b) what memoizing
-// the frame ancestor chains saves on the rancestor/CompareIds/
-// structural-join hot paths.
+// E13 — the parallel bulk-labeling pipeline. Not a paper table: the
+// paper's Sec. 5 measures single-threaded enumeration cost; this bench
+// regenerates that labeling path at production scale and shows how
+// labeling scales with worker threads (UID-local areas are the independent
+// units of parallelism).
 #include <chrono>
 #include <vector>
 
 #include "bench_common.h"
-#include "util/random.h"
 #include "util/thread_pool.h"
-#include "xpath/name_index.h"
-#include "xpath/structural_join.h"
 
 namespace ruidx {
 namespace bench {
@@ -48,20 +43,10 @@ double TimeMs(Fn&& fn) {
 struct Fixture {
   std::unique_ptr<xml::Document> doc;
   core::Ruid2Scheme scheme;
-  std::vector<xml::Node*> sample;  // non-root nodes, shuffled
 
   Fixture() : scheme(DefaultAreas()) {
     doc = MakeTopology("random", kScale);
     scheme.Build(doc->root());
-    Rng rng(13);
-    xml::PreorderTraverse(doc->root(), [&](xml::Node* n, int) {
-      if (n != doc->root()) sample.push_back(n);
-      return true;
-    });
-    for (size_t i = sample.size(); i > 1; --i) {
-      std::swap(sample[i - 1], sample[rng.NextBounded(i)]);
-    }
-    if (sample.size() > 4096) sample.resize(4096);
   }
 };
 
@@ -71,8 +56,7 @@ Fixture& GetFixture() {
 }
 
 void PrintTables() {
-  Banner("E13: parallel labeling + ancestor-path cache",
-         "beyond the paper — ROADMAP scaling work");
+  Banner("E13: parallel labeling", "beyond the paper — ROADMAP scaling work");
   Fixture& fixture = GetFixture();
   xml::Node* root = fixture.doc->root();
   std::printf("document: 'random' topology, %zu labeled nodes, %zu areas\n",
@@ -104,63 +88,6 @@ void PrintTables() {
     json.Metric("label_speedup" + suffix, base_label / label_ms, "x");
   }
   table.Print();
-
-  // --- ancestor-path cache: rancestor over the sample, cold vs warm --------
-  core::AncestorPathCache& cache = fixture.scheme.ancestor_cache();
-  cache.set_enabled(false);
-  double uncached_ms = TimeMs([&] {
-    for (xml::Node* n : fixture.sample) {
-      benchmark::DoNotOptimize(fixture.scheme.Ancestors(fixture.scheme.label(n)));
-    }
-  });
-  cache.set_enabled(true);
-  for (xml::Node* n : fixture.sample) {  // warm the per-area chains
-    (void)fixture.scheme.Ancestors(fixture.scheme.label(n));
-  }
-  double cached_ms = TimeMs([&] {
-    for (xml::Node* n : fixture.sample) {
-      benchmark::DoNotOptimize(fixture.scheme.Ancestors(fixture.scheme.label(n)));
-    }
-  });
-
-  // --- structural join over two tag sets, cached vs uncached chains --------
-  xpath::NameIndex index(root);
-  std::vector<xml::Node*> anc = index.Lookup("t1");
-  std::vector<xml::Node*> desc = index.Lookup("t2");
-  cache.set_enabled(false);
-  double join_uncached_ms = TimeMs([&] {
-    benchmark::DoNotOptimize(
-        xpath::StructuralJoinRuid(fixture.scheme, anc, desc));
-  });
-  cache.set_enabled(true);
-  (void)xpath::StructuralJoinRuid(fixture.scheme, anc, desc);  // warm
-  double join_cached_ms = TimeMs([&] {
-    benchmark::DoNotOptimize(
-        xpath::StructuralJoinRuid(fixture.scheme, anc, desc));
-  });
-
-  TablePrinter micro("ancestor-path cache (4096-node sample / t1-t2 join)");
-  micro.SetHeader({"operation", "uncached ms", "cached ms", "ratio"});
-  char ratio1[32], ratio2[32];
-  std::snprintf(ratio1, sizeof(ratio1), "%.2fx", uncached_ms / cached_ms);
-  std::snprintf(ratio2, sizeof(ratio2), "%.2fx",
-                join_uncached_ms / join_cached_ms);
-  micro.AddRow({"rancestor chain", std::to_string(uncached_ms),
-                std::to_string(cached_ms), ratio1});
-  micro.AddRow({"structural join", std::to_string(join_uncached_ms),
-                std::to_string(join_cached_ms), ratio2});
-  micro.Print();
-  std::printf("cache: %zu area chains, %llu hits / %llu misses\n",
-              cache.entry_count(),
-              static_cast<unsigned long long>(cache.hits()),
-              static_cast<unsigned long long>(cache.misses()));
-  json.Metric("ancestors_uncached_ms", uncached_ms, "ms");
-  json.Metric("ancestors_cached_ms", cached_ms, "ms");
-  json.Metric("ancestors_cache_speedup", uncached_ms / cached_ms, "x");
-  json.Metric("join_uncached_ms", join_uncached_ms, "ms");
-  json.Metric("join_cached_ms", join_cached_ms, "ms");
-  json.Metric("join_cache_speedup", join_uncached_ms / join_cached_ms, "x");
-  json.Metric("cache_area_chains", static_cast<double>(cache.entry_count()));
   json.Write();
 }
 
@@ -176,18 +103,6 @@ void BM_ParallelLabel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ParallelLabel)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
-
-void BM_AncestorsCached(benchmark::State& state) {
-  Fixture& fixture = GetFixture();
-  fixture.scheme.ancestor_cache().set_enabled(state.range(0) != 0);
-  size_t i = 0;
-  for (auto _ : state) {
-    xml::Node* n = fixture.sample[i++ % fixture.sample.size()];
-    benchmark::DoNotOptimize(fixture.scheme.Ancestors(fixture.scheme.label(n)));
-  }
-  fixture.scheme.ancestor_cache().set_enabled(true);
-}
-BENCHMARK(BM_AncestorsCached)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace bench

@@ -25,7 +25,6 @@ using core::Ruid2RootId;
 using core::Ruid2Scheme;
 using core::RuidMId;
 using core::RuidMScheme;
-using core::RuidParent;
 
 Status Violation(const char* invariant, const std::string& detail) {
   return Status::Corruption(std::string("[") + invariant + "] " + detail);
@@ -34,22 +33,6 @@ Status Violation(const char* invariant, const std::string& detail) {
 void MarkPassed(CheckReport* report, const char* invariant) {
   if (report != nullptr) report->invariants.emplace_back(invariant);
 }
-
-/// Restores the process-wide packed toggle on scope exit, so the
-/// cross-representation checks can flip it without leaking state.
-class PackedToggleGuard {
- public:
-  explicit PackedToggleGuard(bool enabled)
-      : previous_(core::PackedFastPathEnabled()) {
-    core::SetPackedFastPathEnabled(enabled);
-  }
-  ~PackedToggleGuard() { core::SetPackedFastPathEnabled(previous_); }
-  PackedToggleGuard(const PackedToggleGuard&) = delete;
-  PackedToggleGuard& operator=(const PackedToggleGuard&) = delete;
-
- private:
-  bool previous_;
-};
 
 /// Document order as the ground truth every order-related invariant is
 /// compared against: preorder rank per serial.
@@ -447,24 +430,18 @@ Status CheckIdKeyOrder(const Ruid2Scheme& scheme, const DocOrder& order,
                                std::to_string(numeric) + " for " +
                                ia.ToString() + " vs " + ib.ToString());
         }
-        if (options.check_packed) {
-          // The packed and BigUint encoders must emit identical bytes.
-          auto packed = [&] {
-            PackedToggleGuard on(true);
-            return storage::EncodeIdKey(ia);
-          }();
-          auto plain = [&] {
-            PackedToggleGuard off(false);
-            return storage::EncodeIdKey(ia);
-          }();
-          if (packed.ok() != plain.ok() ||
-              (packed.ok() &&
-               std::memcmp(packed->data(), plain->data(), packed->size()) !=
-                   0)) {
-            return Violation("id-key-order",
-                             "packed and BigUint key encodings differ for " +
-                                 ia.ToString());
-          }
+        // The codec's halves must be byte-for-byte the BigUint big-endian
+        // forms. The layout is re-derived here on purpose: a reference that
+        // shares no code with the codec it checks.
+        storage::BPlusTree::Key want_key{};
+        ia.global.ToBytesBE(want_key.data(), 16);
+        ia.local.ToBytesBE(want_key.data() + 16, 16);  // NOLINT(raw-key-slice)
+        want_key[32] = ia.is_area_root ? 1 : 0;  // NOLINT(raw-key-slice)
+        if (std::memcmp(ka->data(), want_key.data(), want_key.size()) != 0) {
+          return Violation("id-key-order",
+                           "EncodeIdKey bytes differ from the BigUint "
+                           "big-endian halves for " +
+                               ia.ToString());
         }
         return Status::OK();
       });
@@ -500,14 +477,8 @@ Status CheckCacheCoherence(const Ruid2Scheme& scheme, const DocOrder& order,
   for (uint32_t i = 0; i < p.areas.size(); ++i) {
     if (p.areas[i].root == nullptr) continue;
     const Ruid2Id root_id = scheme.label(p.areas[i].root);
-    std::vector<Ruid2Id> fresh;
-    Ruid2Id cur = root_id;
-    while (!(cur == Ruid2RootId())) {
-      auto parent = RuidParent(cur, scheme.kappa(), scheme.ktable());
-      if (!parent.ok()) break;
-      cur = parent.MoveValueUnsafe();
-      fresh.push_back(cur);
-    }
+    std::vector<Ruid2Id> fresh =
+        core::RuidAncestorsBigUint(root_id, scheme.kappa(), scheme.ktable());
     const std::vector<Ruid2Id>* cached = scheme.ancestor_cache().AreaRootAncestors(
         root_id.global, scheme.kappa(), scheme.ktable());
     if (cached == nullptr || *cached != fresh) {
@@ -525,28 +496,18 @@ Status CheckPackedAgreement(const Ruid2Scheme& scheme, const DocOrder& order,
   for (xml::Node* n :
        SampledNodes(order, options.chain_samples, options.rng_seed + 3)) {
     const Ruid2Id& id = scheme.label(n);
-    Result<Ruid2Id> packed_parent = [&] {
-      PackedToggleGuard on(true);
-      return scheme.Parent(id);
-    }();
-    Result<Ruid2Id> plain_parent = [&] {
-      PackedToggleGuard off(false);
-      return scheme.Parent(id);
-    }();
+    Result<Ruid2Id> packed_parent = scheme.Parent(id);
+    Result<Ruid2Id> plain_parent =
+        core::RuidParentBigUint(id, scheme.kappa(), scheme.ktable());
     if (packed_parent.ok() != plain_parent.ok() ||
         (packed_parent.ok() && !(*packed_parent == *plain_parent))) {
       return Violation("packed-agreement",
                        "packed and BigUint rparent() disagree for " +
                            id.ToString());
     }
-    std::vector<Ruid2Id> packed_chain = [&] {
-      PackedToggleGuard on(true);
-      return scheme.Ancestors(id);
-    }();
-    std::vector<Ruid2Id> plain_chain = [&] {
-      PackedToggleGuard off(false);
-      return scheme.Ancestors(id);
-    }();
+    std::vector<Ruid2Id> packed_chain = scheme.Ancestors(id);
+    std::vector<Ruid2Id> plain_chain =
+        core::RuidAncestorsBigUint(id, scheme.kappa(), scheme.ktable());
     if (packed_chain != plain_chain) {
       return Violation("packed-agreement",
                        "packed and BigUint ancestor chains disagree for " +
@@ -605,15 +566,11 @@ Status CheckDocumentInvariants(const Ruid2Scheme& scheme, xml::Node* root,
   RUIDX_RETURN_NOT_OK(CheckIdKeyOrder(scheme, order, options));
   MarkPassed(report, "id-key-order");
 
-  if (options.check_cache) {
-    RUIDX_RETURN_NOT_OK(CheckCacheCoherence(scheme, order, options));
-    MarkPassed(report, "cache-coherence");
-  }
+  RUIDX_RETURN_NOT_OK(CheckCacheCoherence(scheme, order, options));
+  MarkPassed(report, "cache-coherence");
 
-  if (options.check_packed) {
-    RUIDX_RETURN_NOT_OK(CheckPackedAgreement(scheme, order, options));
-    MarkPassed(report, "packed-agreement");
-  }
+  RUIDX_RETURN_NOT_OK(CheckPackedAgreement(scheme, order, options));
+  MarkPassed(report, "packed-agreement");
   return Status::OK();
 }
 

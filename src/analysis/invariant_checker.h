@@ -46,12 +46,6 @@ struct CheckOptions {
   /// source fan-out below a frame fan-out that was legal when built, so
   /// callers auditing a scheme after destructive updates turn this off.
   bool check_frame_bound = true;
-  /// Cross-check the packed fast path against the BigUint path (identifier
-  /// arithmetic and storage key encoding). Flips the process-wide packed
-  /// toggle back and forth, so do not run concurrently with other work.
-  bool check_packed = true;
-  /// Check the ancestor-path cache against fresh rparent() recomputation.
-  bool check_cache = true;
 };
 
 /// What a passing run covered (for the `ruidx_tool check` report).

@@ -74,7 +74,6 @@ void AncestorPathCache::AppendAreaRootChain(const BigUint& global,
 std::vector<Ruid2Id> AncestorPathCache::Ancestors(const Ruid2Id& id,
                                                   uint64_t kappa,
                                                   const KTable& k) const {
-  if (!enabled_) return UncachedChain(id, kappa, k);
   std::vector<Ruid2Id> chain;
   // Climb within the node's own area until the area root (or the main root)
   // is reached; this part is node-specific and stays uncached.
@@ -151,7 +150,6 @@ bool AncestorPathCache::AncestorsPacked(const PackedRuid2Id& id,
                                         uint64_t kappa, const KTable& k,
                                         std::vector<PackedRuid2Id>* out) const {
   out->clear();
-  if (!enabled_) return PackedRuidAncestors(id, kappa, k, out);
   // Climb within the node's own area — node-specific, uncached, and pure
   // uint64 division.
   PackedRuid2Id cur = id;
@@ -179,15 +177,6 @@ bool AncestorPathCache::AncestorsHybrid(const PackedRuid2Id& id,
                                         uint64_t kappa, const KTable& k,
                                         std::vector<Ruid2Id>* out) const {
   out->clear();
-  if (!enabled_) {
-    // Cold walk entirely on packed arithmetic, unpacked on the way out —
-    // still far cheaper than a BigUint division per step.
-    std::vector<PackedRuid2Id> packed;
-    if (!PackedRuidAncestors(id, kappa, k, &packed)) return false;
-    out->reserve(packed.size());
-    for (const PackedRuid2Id& anc : packed) out->push_back(UnpackRuid2Id(anc));
-    return true;
-  }
   // Node-specific climb on machine words; only these few steps unpack.
   PackedRuid2Id cur = id;
   while (!cur.is_area_root()) {
@@ -232,11 +221,6 @@ void AncestorPathCache::Clear() {
   if (!chains_.empty() || !packed_chains_.empty()) ++invalidations_;
   chains_.clear();
   packed_chains_.clear();
-}
-
-void AncestorPathCache::set_enabled(bool enabled) {
-  enabled_ = enabled;
-  if (!enabled) Clear();
 }
 
 uint64_t AncestorPathCache::hits() const {

@@ -35,23 +35,22 @@ class AncestorPathCache {
   AncestorPathCache() = default;
 
   // The cache is per-scheme memo state guarded by a mutex; copied or moved
-  // schemes start with a cold cache (only the enabled flag carries over).
-  AncestorPathCache(const AncestorPathCache& o) : enabled_(o.enabled_) {}
-  AncestorPathCache(AncestorPathCache&& o) noexcept : enabled_(o.enabled_) {}
-  AncestorPathCache& operator=(const AncestorPathCache& o) {
-    enabled_ = o.enabled_;
+  // schemes start with a cold cache.
+  AncestorPathCache(const AncestorPathCache&) {}
+  AncestorPathCache(AncestorPathCache&&) noexcept {}
+  AncestorPathCache& operator=(const AncestorPathCache&) {
     Clear();
     return *this;
   }
-  AncestorPathCache& operator=(AncestorPathCache&& o) noexcept {
-    enabled_ = o.enabled_;
+  AncestorPathCache& operator=(AncestorPathCache&&) noexcept {
     Clear();
     return *this;
   }
 
   /// Full proper-ancestor chain of `id`, nearest first — the rancestor()
   /// result. Climbs inside the node's own area with rparent, then appends
-  /// the memoized chain of the area root.
+  /// the memoized chain of the area root. The BigUint-identifier path, for
+  /// identifiers the packed variants below cannot take.
   std::vector<Ruid2Id> Ancestors(const Ruid2Id& id, uint64_t kappa,
                                  const KTable& k) const;
 
@@ -92,11 +91,6 @@ class AncestorPathCache {
 
   /// Drops every cached chain (full rebuilds, external relabeling).
   void Clear();
-
-  /// Disabling turns every lookup into a cold rparent() walk — the
-  /// uncached baseline the benchmarks compare against.
-  void set_enabled(bool enabled);
-  bool enabled() const { return enabled_; }
 
   // --- statistics (for tests and the bench tables) --------------------------
   uint64_t hits() const;
@@ -140,9 +134,6 @@ class AncestorPathCache {
                                  const KTable& k,
                                  std::vector<PackedRuid2Id>* out) const;
 
-  /// Set before the scheme is shared (benchmarks toggle it up front, never
-  /// while readers run), so deliberately unguarded.
-  bool enabled_ = true;
   /// Guards chains_, packed_chains_, and the counters; Ancestors() must be
   /// callable from concurrent readers (the bulk pipelines share one
   /// scheme). Leaf-side rank: taken while a store holds its pool mutex

@@ -1,22 +1,9 @@
 #include "core/packed_ruid2_id.h"
 
 #include <algorithm>
-#include <atomic>
 
 namespace ruidx {
 namespace core {
-
-namespace {
-std::atomic<bool> g_packed_fast_path{true};
-}  // namespace
-
-bool PackedFastPathEnabled() {
-  return g_packed_fast_path.load(std::memory_order_relaxed);
-}
-
-void SetPackedFastPathEnabled(bool enabled) {
-  g_packed_fast_path.store(enabled, std::memory_order_relaxed);
-}
 
 bool PackedRuidAncestors(const PackedRuid2Id& id, uint64_t kappa,
                          const KTable& k, std::vector<PackedRuid2Id>* out) {

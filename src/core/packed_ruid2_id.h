@@ -23,8 +23,9 @@
 // the fast path iff its global and root_local satisfy the same bounds. The
 // moment either bound is exceeded — or a K row is missing — the packed
 // routines report kFallback/false and the caller reruns the untouched
-// BigUint path, so both paths always agree (property-tested, including at
-// and across the 2^63/2^128 boundaries).
+// BigUint path, so both paths always agree (property-tested against the
+// BigUint reference, including at and across the 2^63/2^128 boundaries).
+// Every caller takes the packed path first.
 #ifndef RUIDX_CORE_PACKED_RUID2_ID_H_
 #define RUIDX_CORE_PACKED_RUID2_ID_H_
 
@@ -144,16 +145,6 @@ inline bool PackedUidIsAncestor(uint128_t a, uint128_t d, uint64_t k) {
 
 /// UidCompareOrder (Fig. 10) on machine words.
 int PackedUidCompareOrder(uint128_t a, uint128_t b, uint64_t k);
-
-/// \name Packed fast-path switch
-/// Process-wide toggle consulted by every layer that has a packed fast path
-/// (rparent, the ancestor-path cache, storage key encoding, structural
-/// joins). On by default; benchmarks and equivalence tests flip it to time
-/// and cross-check the pure-BigUint path.
-/// @{
-bool PackedFastPathEnabled();
-void SetPackedFastPathEnabled(bool enabled);
-/// @}
 
 }  // namespace core
 }  // namespace ruidx

@@ -202,24 +202,27 @@ void Ruid2Scheme::Build(xml::Node* root, util::ThreadPool* pool) {
 }
 
 Result<Ruid2Id> RuidParent(const Ruid2Id& id, uint64_t kappa, const KTable& k) {
-  if (PackedFastPathEnabled()) {
-    PackedRuid2Id packed;
-    if (PackRuid2Id(id, &packed)) {
-      PackedRuid2Id parent;
-      switch (PackedRuidParent(packed, kappa, k, &parent)) {
-        case PackedParentStatus::kOk:
-          return UnpackRuid2Id(parent);
-        case PackedParentStatus::kMainRoot:
-          return Status::NotFound("the main root has no parent");
-        case PackedParentStatus::kNoParentInArea:
-          return Status::InvalidArgument("local index " +
-                                         std::to_string(packed.local()) +
-                                         " has no parent in its area");
-        case PackedParentStatus::kFallback:
-          break;  // outside the packed range: take the BigUint path below
-      }
+  PackedRuid2Id packed;
+  if (PackRuid2Id(id, &packed)) {
+    PackedRuid2Id parent;
+    switch (PackedRuidParent(packed, kappa, k, &parent)) {
+      case PackedParentStatus::kOk:
+        return UnpackRuid2Id(parent);
+      case PackedParentStatus::kMainRoot:
+        return Status::NotFound("the main root has no parent");
+      case PackedParentStatus::kNoParentInArea:
+        return Status::InvalidArgument("local index " +
+                                       std::to_string(packed.local()) +
+                                       " has no parent in its area");
+      case PackedParentStatus::kFallback:
+        break;  // outside the packed range
     }
   }
+  return RuidParentBigUint(id, kappa, k);
+}
+
+Result<Ruid2Id> RuidParentBigUint(const Ruid2Id& id, uint64_t kappa,
+                                  const KTable& k) {
   if (id == Ruid2RootId()) {
     return Status::NotFound("the main root has no parent");
   }
@@ -241,29 +244,38 @@ Result<Ruid2Id> RuidParent(const Ruid2Id& id, uint64_t kappa, const KTable& k) {
   return Ruid2Id{std::move(g), std::move(l), false};
 }
 
+std::vector<Ruid2Id> RuidAncestorsBigUint(const Ruid2Id& id, uint64_t kappa,
+                                          const KTable& k) {
+  std::vector<Ruid2Id> chain;
+  Ruid2Id cur = id;
+  for (;;) {
+    auto parent = RuidParentBigUint(cur, kappa, k);
+    if (!parent.ok()) return chain;
+    cur = parent.MoveValueUnsafe();
+    chain.push_back(cur);
+  }
+}
+
 Result<Ruid2Id> Ruid2Scheme::Parent(const Ruid2Id& id) const {
   return RuidParent(id, kappa_, ktable_);
 }
 
 std::vector<Ruid2Id> Ruid2Scheme::Ancestors(const Ruid2Id& id) const {
-  if (PackedFastPathEnabled()) {
-    // Hybrid: packed machine-word climb inside the node's own area, then a
-    // straight copy of the memoized BigUint frame tail. Unpacking a whole
-    // cached chain element by element used to cost more than the BigUint
-    // copy it replaced.
-    PackedRuid2Id packed;
-    std::vector<Ruid2Id> out;
-    if (PackRuid2Id(id, &packed) &&
-        ancestor_cache_.AncestorsHybrid(packed, kappa_, ktable_, &out)) {
-      return out;
-    }
+  // Hybrid: packed machine-word climb inside the node's own area, then a
+  // straight copy of the memoized BigUint frame tail. Unpacking a whole
+  // cached chain element by element used to cost more than the BigUint
+  // copy it replaced.
+  PackedRuid2Id packed;
+  std::vector<Ruid2Id> out;
+  if (PackRuid2Id(id, &packed) &&
+      ancestor_cache_.AncestorsHybrid(packed, kappa_, ktable_, &out)) {
+    return out;
   }
   return ancestor_cache_.Ancestors(id, kappa_, ktable_);
 }
 
 bool Ruid2Scheme::AncestorsPacked(const Ruid2Id& id,
                                   std::vector<PackedRuid2Id>* out) const {
-  if (!PackedFastPathEnabled()) return false;
   PackedRuid2Id packed;
   if (!PackRuid2Id(id, &packed)) return false;
   out->clear();
@@ -272,19 +284,17 @@ bool Ruid2Scheme::AncestorsPacked(const Ruid2Id& id,
 
 bool Ruid2Scheme::IsAncestorId(const Ruid2Id& a, const Ruid2Id& d) const {
   if (a == d) return false;
-  if (PackedFastPathEnabled()) {
-    PackedRuid2Id pd;
-    std::vector<PackedRuid2Id> chain;
-    if (PackRuid2Id(d, &pd) &&
-        ancestor_cache_.AncestorsPacked(pd, kappa_, ktable_, &chain)) {
-      PackedRuid2Id pa;
-      // d's complete chain is packed, so an unpackable a cannot be on it.
-      if (!PackRuid2Id(a, &pa)) return false;
-      for (const PackedRuid2Id& anc : chain) {
-        if (anc == pa) return true;
-      }
-      return false;
+  PackedRuid2Id pd;
+  std::vector<PackedRuid2Id> chain;
+  if (PackRuid2Id(d, &pd) &&
+      ancestor_cache_.AncestorsPacked(pd, kappa_, ktable_, &chain)) {
+    PackedRuid2Id pa;
+    // d's complete chain is packed, so an unpackable a cannot be on it.
+    if (!PackRuid2Id(a, &pa)) return false;
+    for (const PackedRuid2Id& anc : chain) {
+      if (anc == pa) return true;
     }
+    return false;
   }
   // a is a proper ancestor of d iff it appears on d's ancestor chain; the
   // frame part of the chain comes from the per-area cache.
@@ -300,29 +310,27 @@ uint64_t Ruid2Scheme::DepthOf(const Ruid2Id& id) const {
 
 int Ruid2Scheme::CompareIds(const Ruid2Id& a, const Ruid2Id& b) const {
   if (a == b) return 0;
-  if (PackedFastPathEnabled()) {
-    PackedRuid2Id pa, pb;
-    if (PackRuid2Id(a, &pa) && PackRuid2Id(b, &pb)) {
-      // Lemma 3 shortcut on machine words.
-      if (pa.global != pb.global &&
-          !PackedUidIsAncestor(pa.global, pb.global, kappa_) &&
-          !PackedUidIsAncestor(pb.global, pa.global, kappa_)) {
-        return PackedUidCompareOrder(pa.global, pb.global, kappa_);
-      }
-      // Fig. 10 fallback on packed chains (root first, the node last).
-      std::vector<PackedRuid2Id> ca, cb;
-      if (ancestor_cache_.AncestorsPacked(pa, kappa_, ktable_, &ca) &&
-          ancestor_cache_.AncestorsPacked(pb, kappa_, ktable_, &cb)) {
-        std::reverse(ca.begin(), ca.end());
-        ca.push_back(pa);
-        std::reverse(cb.begin(), cb.end());
-        cb.push_back(pb);
-        size_t i = 0;
-        while (i < ca.size() && i < cb.size() && ca[i] == cb[i]) ++i;
-        if (i == ca.size()) return -1;  // a is an ancestor of b
-        if (i == cb.size()) return 1;
-        return ca[i].local() < cb[i].local() ? -1 : 1;
-      }
+  PackedRuid2Id pa, pb;
+  if (PackRuid2Id(a, &pa) && PackRuid2Id(b, &pb)) {
+    // Lemma 3 shortcut on machine words.
+    if (pa.global != pb.global &&
+        !PackedUidIsAncestor(pa.global, pb.global, kappa_) &&
+        !PackedUidIsAncestor(pb.global, pa.global, kappa_)) {
+      return PackedUidCompareOrder(pa.global, pb.global, kappa_);
+    }
+    // Fig. 10 fallback on packed chains (root first, the node last).
+    std::vector<PackedRuid2Id> ca, cb;
+    if (ancestor_cache_.AncestorsPacked(pa, kappa_, ktable_, &ca) &&
+        ancestor_cache_.AncestorsPacked(pb, kappa_, ktable_, &cb)) {
+      std::reverse(ca.begin(), ca.end());
+      ca.push_back(pa);
+      std::reverse(cb.begin(), cb.end());
+      cb.push_back(pb);
+      size_t i = 0;
+      while (i < ca.size() && i < cb.size() && ca[i] == cb[i]) ++i;
+      if (i == ca.size()) return -1;  // a is an ancestor of b
+      if (i == cb.size()) return 1;
+      return ca[i].local() < cb[i].local() ? -1 : 1;
     }
   }
   // Lemma 3: when the two areas are neither equal nor frame-ancestor

@@ -72,8 +72,7 @@ class Ruid2Scheme : public scheme::LabelingScheme {
   /// Packed rancestor(): writes the proper-ancestor chain of `id`, nearest
   /// first, as trivially-copyable packed identifiers into *out with no per-element
   /// allocation. Returns false (with *out unspecified) when `id` or any
-  /// ancestor is outside the packed range or the fast path is disabled —
-  /// callers then use Ancestors().
+  /// ancestor is outside the packed range — callers then use Ancestors().
   bool AncestorsPacked(const Ruid2Id& id,
                        std::vector<PackedRuid2Id>* out) const;
 
@@ -96,8 +95,7 @@ class Ruid2Scheme : public scheme::LabelingScheme {
   const PartitionOptions& options() const { return options_; }
 
   /// The per-area ancestor-path cache behind Ancestors/CompareIds/
-  /// IsAncestorId. Exposed for statistics and for benchmarking the uncached
-  /// baseline (set_enabled(false)); invalidation is automatic.
+  /// IsAncestorId. Exposed for statistics; invalidation is automatic.
   AncestorPathCache& ancestor_cache() const { return ancestor_cache_; }
 
   const Ruid2Id& label(const xml::Node* n) const {

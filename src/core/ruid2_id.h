@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/ktable.h"
 #include "util/biguint.h"
@@ -47,8 +48,21 @@ Ruid2Id Ruid2RootId();
 /// rparent() — the Fig. 6 algorithm as a pure function of (κ, K). Given the
 /// identifier of a node, computes the identifier of its parent entirely in
 /// main memory. Fails for the main root and for identifiers whose area has
-/// no K row.
+/// no K row. Runs on machine words (PackedRuidParent) and falls back to
+/// RuidParentBigUint only outside the packed range.
 Result<Ruid2Id> RuidParent(const Ruid2Id& id, uint64_t kappa, const KTable& k);
+
+/// Fig. 6 in BigUint arithmetic throughout: RuidParent's fallback, and the
+/// reference the packed path is checked against. Same values, status codes
+/// and messages as RuidParent.
+Result<Ruid2Id> RuidParentBigUint(const Ruid2Id& id, uint64_t kappa,
+                                  const KTable& k);
+
+/// rancestor() as a cold climb of RuidParentBigUint: the proper ancestors of
+/// `id`, nearest first, with no cache and no machine-word arithmetic. The
+/// reference for Ruid2Scheme::Ancestors and its packed and cached paths.
+std::vector<Ruid2Id> RuidAncestorsBigUint(const Ruid2Id& id, uint64_t kappa,
+                                          const KTable& k);
 
 /// \brief Outcome of an incremental structural update (Sec. 3.2 accounting).
 struct UpdateReport {

@@ -15,10 +15,10 @@ namespace {
 
 // Page layout. Common header:
 //   [0] u8  is_leaf
-//   [1] u8  reserved
+//   [1] u8  leaf format (leaf::kLeafFormatCompressed); 0 on internal nodes
 //   [2] u16 count
-// Leaf:      [4] u32 next_leaf, [8] u32 prev_leaf,
-//            entries at 12: count * (key + u64 value)
+// Leaf:      [4] u32 next_leaf, [8] u32 prev_leaf, then the v2 encoding of
+//            storage/leaf_codec.h
 // Internal:  [4] u32 child0,    [8] u32 reserved,
 //            entries at 12: count * (key + u32 child)
 // Internal semantics: entry i holds the smallest key of child i+1. The leaf
@@ -26,18 +26,13 @@ namespace {
 // reclaimed) without a second descent. Entries stay inside kPageUsableSize;
 // the page trailer belongs to the buffer pool.
 constexpr size_t kHeader = 12;
-constexpr size_t kLeafEntry = BPlusTree::kKeySize + 8;
 constexpr size_t kInnerEntry = BPlusTree::kKeySize + 4;
-constexpr uint16_t kLeafCapacity =
-    static_cast<uint16_t>((kPageUsableSize - kHeader) / kLeafEntry);
 constexpr uint16_t kInnerCapacity =
     static_cast<uint16_t>((kPageUsableSize - kHeader) / kInnerEntry);
-// BulkLoadSorted fills each leaf to 7/8 of a page in either format, so the
-// first inserts after a load land in free space instead of splitting every
-// leaf they touch (PostgreSQL's nbtree builds leave 10% free for the same
-// reason).
+// BulkLoadSorted fills each leaf to 7/8 of a page, so the first inserts
+// after a load land in free space instead of splitting every leaf they
+// touch (PostgreSQL's nbtree builds leave 10% free for the same reason).
 constexpr size_t kBulkLeafBytes = size_t{kPageUsableSize} * 7 / 8;
-constexpr size_t kBulkLeafLegacyCount = (kBulkLeafBytes - kHeader) / kLeafEntry;
 
 bool IsLeaf(const uint8_t* page) { return page[0] == 1; }
 void SetLeaf(uint8_t* page, bool leaf) { page[0] = leaf ? 1 : 0; }
@@ -63,12 +58,6 @@ uint32_t Prev(const uint8_t* page) {  // previous leaf in the chain
 }
 void SetPrev(uint8_t* page, uint32_t v) { std::memcpy(page + 8, &v, 4); }
 
-uint8_t* LeafEntry(uint8_t* page, size_t i) {
-  return page + kHeader + i * kLeafEntry;
-}
-const uint8_t* LeafEntry(const uint8_t* page, size_t i) {
-  return page + kHeader + i * kLeafEntry;
-}
 uint8_t* InnerEntry(uint8_t* page, size_t i) {
   return page + kHeader + i * kInnerEntry;
 }
@@ -83,11 +72,6 @@ int CompareKey(const uint8_t* entry, const BPlusTree::Key& key) {
   return std::memcmp(entry, key.data(), BPlusTree::kKeySize);
 }
 
-uint64_t LeafValue(const uint8_t* page, size_t i) {
-  uint64_t v;
-  std::memcpy(&v, LeafEntry(page, i) + BPlusTree::kKeySize, 8);
-  return v;
-}
 uint32_t InnerChild(const uint8_t* page, size_t i) {
   // child i: i == 0 -> header link; else entry i-1's child field.
   if (i == 0) return Link(page);
@@ -96,63 +80,25 @@ uint32_t InnerChild(const uint8_t* page, size_t i) {
   return v;
 }
 
-/// Index of the first leaf entry >= key, or count.
-size_t LeafLowerBound(const uint8_t* page, const BPlusTree::Key& key) {
-  size_t lo = 0, hi = Count(page);
-  while (lo < hi) {
-    size_t mid = (lo + hi) / 2;
-    if (CompareKey(LeafEntry(page, mid), key) < 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
+/// Every leaf the tree writes goes through leaf::BuildLeaf, so a leaf whose
+/// format byte is not v2 is a page the tree never wrote. Corruption, before
+/// the codec decodes a byte of it.
+Status CheckLeafFormat(const uint8_t* page, uint32_t page_id) {
+  if (leaf::IsCompressed(page)) return Status::OK();
+  return Status::Corruption("leaf page " + std::to_string(page_id) +
+                            " has format byte " + std::to_string(page[1]) +
+                            ", not v2");
+}
+
+/// Fetches leaf `page_id` pinned, or fails (unpinned) on a non-v2 format.
+Result<uint8_t*> FetchLeaf(PageIo* pool, uint32_t page_id) {
+  RUIDX_ASSIGN_OR_RETURN(uint8_t* page, pool->Fetch(page_id));
+  Status format = CheckLeafFormat(page, page_id);
+  if (!format.ok()) {
+    pool->Unpin(page_id, false);
+    return format;
   }
-  return lo;
-}
-
-// Leaf pages self-describe their format (header byte [1]): legacy
-// fixed-width slots and compressed v2 pages coexist in one tree, so the
-// accessors below dispatch per page. Internal nodes have one format.
-
-void LeafKeyAt(const uint8_t* page, size_t i, BPlusTree::Key* key) {
-  if (leaf::IsCompressed(page)) {
-    leaf::KeyAt(page, i, key);
-  } else {
-    ReadKey(LeafEntry(page, i), key);
-  }
-}
-
-uint64_t LeafValueAt(const uint8_t* page, size_t i) {
-  return leaf::IsCompressed(page) ? leaf::ValueAt(page, i)
-                                  : LeafValue(page, i);
-}
-
-/// First slot with key >= `key` in either leaf format; *exact on equality.
-size_t LeafSearch(const uint8_t* page, const BPlusTree::Key& key,
-                  bool* exact) {
-  if (leaf::IsCompressed(page)) return leaf::LowerBound(page, key, exact);
-  size_t idx = LeafLowerBound(page, key);
-  *exact = idx < Count(page) && CompareKey(LeafEntry(page, idx), key) == 0;
-  return idx;
-}
-
-/// Writes `n` entries as one leaf page in the requested format. False when
-/// they do not fit (the caller splits further).
-bool WriteLeafPage(uint8_t* frame, const leaf::Entry* entries, size_t n,
-                   uint32_t next, uint32_t prev, bool compressed) {
-  if (compressed) return leaf::BuildLeaf(frame, entries, n, next, prev);
-  if (n > kLeafCapacity) return false;
-  SetLeaf(frame, true);
-  frame[1] = leaf::kLeafFormatLegacy;  // frame may be a rebuilt v2 page
-  SetCount(frame, static_cast<uint16_t>(n));
-  SetLink(frame, next);
-  SetPrev(frame, prev);
-  for (size_t i = 0; i < n; ++i) {
-    uint8_t* e = LeafEntry(frame, i);
-    std::memcpy(e, entries[i].key.data(), BPlusTree::kKeySize);
-    std::memcpy(e + BPlusTree::kKeySize, &entries[i].value, 8);
-  }
-  return true;
+  return page;
 }
 
 /// Child slot to descend into for `key`.
@@ -175,8 +121,7 @@ size_t InnerChildIndex(const uint8_t* page, const BPlusTree::Key& key) {
 Result<BPlusTree> BPlusTree::Create(PageIo* pool) {
   uint8_t* frame = nullptr;
   RUIDX_ASSIGN_OR_RETURN(uint32_t root, pool->AllocatePinned(&frame));
-  WriteLeafPage(frame, nullptr, 0, kInvalidPage, kInvalidPage,
-                LeafCompressionEnabled());
+  leaf::BuildLeaf(frame, nullptr, 0, kInvalidPage, kInvalidPage);
   pool->Unpin(root, /*dirty=*/true);
   return BPlusTree(pool, root);
 }
@@ -205,11 +150,11 @@ Result<uint32_t> BPlusTree::FindLeaf(const Key& key) const {
 
 Result<uint64_t> BPlusTree::Get(const Key& key) const {
   RUIDX_ASSIGN_OR_RETURN(uint32_t leaf_id, FindLeaf(key));
-  RUIDX_ASSIGN_OR_RETURN(uint8_t* page, pool_->Fetch(leaf_id));
+  RUIDX_ASSIGN_OR_RETURN(uint8_t* page, FetchLeaf(pool_, leaf_id));
   bool exact = false;
-  size_t idx = LeafSearch(page, key, &exact);
+  size_t idx = leaf::LowerBound(page, key, &exact);
   if (exact) {
-    uint64_t value = LeafValueAt(page, idx);
+    uint64_t value = leaf::ValueAt(page, idx);
     pool_->Unpin(leaf_id, false);
     return value;
   }
@@ -223,63 +168,36 @@ Result<BPlusTree::SplitResult> BPlusTree::InsertRec(uint32_t page_id,
                                                     bool* inserted) {
   RUIDX_ASSIGN_OR_RETURN(uint8_t* page, pool_->Fetch(page_id));
   if (IsLeaf(page)) {
+    Status format = CheckLeafFormat(page, page_id);
+    if (!format.ok()) {
+      pool_->Unpin(page_id, false);
+      return format;
+    }
     bool exact = false;
-    size_t idx = LeafSearch(page, key, &exact);
-    uint16_t count = Count(page);
+    size_t idx = leaf::LowerBound(page, key, &exact);
     if (exact) {
-      if (leaf::IsCompressed(page)) {
-        leaf::SetValueAt(page, idx, value);  // key bytes stay put
-      } else {
-        std::memcpy(LeafEntry(page, idx) + kKeySize, &value, 8);
-      }
+      leaf::SetValueAt(page, idx, value);  // key bytes stay put
       *inserted = false;
       pool_->Unpin(page_id, true);
       return SplitResult{};
     }
     *inserted = true;
-    if (leaf::IsCompressed(page)) {
-      if (leaf::InsertAt(page, idx, key, value) ==
-          leaf::InsertOutcome::kDone) {
-        pool_->Unpin(page_id, true);
-        return SplitResult{};
-      }
-      // The run-local insert declined (prefix mismatch, overlong run, or no
-      // room): re-encode the whole page, and only if even that cannot host
-      // the new entry, split.
-      std::vector<leaf::Entry> all;
-      leaf::DecodeAll(page, &all);
-      all.insert(all.begin() + idx, leaf::Entry{key, value});
-      if (leaf::BuildLeaf(page, all.data(), all.size(), Link(page),
-                          Prev(page))) {
-        pool_->Unpin(page_id, true);
-        return SplitResult{};
-      }
-      // A compressed source must split compressed: its halves are strict
-      // subsets of a page that fit, plus one 33-byte key — guaranteed room.
-      return SplitLeaf(page_id, page, std::move(all), /*compressed=*/true);
-    }
-    if (count < kLeafCapacity) {
-      std::memmove(LeafEntry(page, idx + 1), LeafEntry(page, idx),
-                   (count - idx) * kLeafEntry);
-      std::memcpy(LeafEntry(page, idx), key.data(), kKeySize);
-      std::memcpy(LeafEntry(page, idx) + kKeySize, &value, 8);
-      SetCount(page, count + 1);
+    if (leaf::InsertAt(page, idx, key, value) == leaf::InsertOutcome::kDone) {
       pool_->Unpin(page_id, true);
       return SplitResult{};
     }
-    // A full legacy leaf splits into the current output format — with
-    // compression on, old pages convert lazily as they overflow.
+    // The run-local insert declined (prefix mismatch, overlong run, or no
+    // room): re-encode the whole page, and only if even that cannot host
+    // the new entry, split.
     std::vector<leaf::Entry> all;
-    all.reserve(count + 1);
-    for (size_t i = 0; i < count; ++i) {
-      leaf::Entry e;
-      ReadKey(LeafEntry(page, i), &e.key);
-      e.value = LeafValue(page, i);
-      all.push_back(e);
-    }
+    leaf::DecodeAll(page, &all);
     all.insert(all.begin() + idx, leaf::Entry{key, value});
-    return SplitLeaf(page_id, page, std::move(all),
-                     LeafCompressionEnabled());
+    if (leaf::BuildLeaf(page, all.data(), all.size(), Link(page),
+                        Prev(page))) {
+      pool_->Unpin(page_id, true);
+      return SplitResult{};
+    }
+    return SplitLeaf(page_id, page, std::move(all));
   }
 
   // Internal node.
@@ -347,8 +265,7 @@ Result<BPlusTree::SplitResult> BPlusTree::InsertRec(uint32_t page_id,
 }
 
 Result<BPlusTree::SplitResult> BPlusTree::SplitLeaf(
-    uint32_t page_id, uint8_t* page, std::vector<leaf::Entry> all,
-    bool compressed) {
+    uint32_t page_id, uint8_t* page, std::vector<leaf::Entry> all) {
   uint8_t* right = nullptr;
   auto right_id_result = pool_->AllocatePinned(&right);
   if (!right_id_result.ok()) {
@@ -359,10 +276,11 @@ Result<BPlusTree::SplitResult> BPlusTree::SplitLeaf(
   size_t keep = all.size() / 2;
   uint32_t old_next = Link(page);
   uint32_t old_prev = Prev(page);
-  if (!WriteLeafPage(right, all.data() + keep, all.size() - keep, old_next,
-                     page_id, compressed) ||
-      !WriteLeafPage(page, all.data(), keep, right_id, old_prev,
-                     compressed)) {
+  // Each half is a strict subset of a page that fit, plus one 33-byte key:
+  // both always fit.
+  if (!leaf::BuildLeaf(right, all.data() + keep, all.size() - keep, old_next,
+                       page_id) ||
+      !leaf::BuildLeaf(page, all.data(), keep, right_id, old_prev)) {
     pool_->Unpin(page_id, true);
     pool_->Unpin(right_id, true);
     return Status::Corruption("leaf split half does not fit a page");
@@ -424,23 +342,17 @@ Status BPlusTree::Erase(const Key& key) {
     path.emplace_back(leaf_id, slot);
     leaf_id = child;
   }
-  RUIDX_ASSIGN_OR_RETURN(uint8_t* page, pool_->Fetch(leaf_id));
+  RUIDX_ASSIGN_OR_RETURN(uint8_t* page, FetchLeaf(pool_, leaf_id));
   bool exact = false;
-  size_t idx = LeafSearch(page, key, &exact);
+  size_t idx = leaf::LowerBound(page, key, &exact);
   uint16_t count = Count(page);
   if (!exact) {
     pool_->Unpin(leaf_id, false);
     return Status::NotFound("key not in tree");
   }
-  if (leaf::IsCompressed(page)) {
-    // Run-local removal: only the touched run's bytes and the restart
-    // directory move; other runs are untouched.
-    leaf::EraseAt(page, idx);
-  } else {
-    std::memmove(LeafEntry(page, idx), LeafEntry(page, idx + 1),
-                 (count - idx - 1) * kLeafEntry);
-    SetCount(page, count - 1);
-  }
+  // Run-local removal: only the touched run's bytes and the restart
+  // directory move; other runs are untouched.
+  leaf::EraseAt(page, idx);
   --entry_count_;
   if (count - 1 > 0 || path.empty()) {
     pool_->Unpin(leaf_id, true);
@@ -474,10 +386,7 @@ Status BPlusTree::Erase(const Key& key) {
         // The root lost its last child: the tree is empty again — turn the
         // root back into an empty leaf (the root page id never changes
         // here, so the meta page stays valid).
-        SetLeaf(parent, true);
-        SetCount(parent, 0);
-        SetLink(parent, kInvalidPage);
-        SetPrev(parent, kInvalidPage);
+        leaf::BuildLeaf(parent, nullptr, 0, kInvalidPage, kInvalidPage);
         pool_->Unpin(parent_id, true);
         return Status::OK();
       }
@@ -538,22 +447,17 @@ Status BPlusTree::BulkLoadSorted(const std::vector<Entry>& entries) {
     uint32_t page;
   };
   std::vector<NodeRef> level;
-  level.reserve(entries.size() / kBulkLeafLegacyCount + 1);
   // Leaf pass: fill leaves to kBulkLeafBytes in key order. The previous leaf
   // stays pinned until its successor exists so the chain is stitched with
   // each page touched exactly once. The empty root page becomes the first
-  // leaf (a single-leaf result then keeps the root id unchanged). With
-  // compression on, each page takes as many entries as encode into the
-  // budget, emitting compressed pages directly.
-  const bool compress = LeafCompressionEnabled();
+  // leaf (a single-leaf result then keeps the root id unchanged). Each page
+  // takes as many entries as encode into the budget.
   uint32_t prev_leaf = kInvalidPage;
   uint8_t* prev_frame = nullptr;
   size_t i = 0;
   while (i < entries.size()) {
-    size_t take =
-        compress ? leaf::MaxLeafTake(entries.data(), i, entries.size(),
-                                     kBulkLeafBytes)
-                 : std::min(kBulkLeafLegacyCount, entries.size() - i);
+    size_t take = leaf::MaxLeafTake(entries.data(), i, entries.size(),
+                                    kBulkLeafBytes);
     uint32_t page_id;
     uint8_t* frame = nullptr;
     if (prev_leaf == kInvalidPage) {
@@ -569,8 +473,8 @@ Status BPlusTree::BulkLoadSorted(const std::vector<Entry>& entries) {
       }
       page_id = *allocated;
     }
-    if (!WriteLeafPage(frame, entries.data() + i, take, kInvalidPage,
-                       prev_leaf, compress)) {
+    if (!leaf::BuildLeaf(frame, entries.data() + i, take, kInvalidPage,
+                         prev_leaf)) {
       if (prev_leaf != kInvalidPage) pool_->Unpin(prev_leaf, true);
       pool_->Unpin(page_id, false);
       return Status::Corruption("bulk-load chunk does not fit a page");
@@ -626,7 +530,7 @@ Status BPlusTree::Scan(
     const std::function<bool(const Key&, uint64_t)>& fn) const {
   RUIDX_ASSIGN_OR_RETURN(uint32_t leaf_id, FindLeaf(lo));
   while (leaf_id != kInvalidPage) {
-    RUIDX_ASSIGN_OR_RETURN(uint8_t* page, pool_->Fetch(leaf_id));
+    RUIDX_ASSIGN_OR_RETURN(uint8_t* page, FetchLeaf(pool_, leaf_id));
     // Leaf-chain read-ahead: let the flusher thread pull the successor in
     // while this leaf is consumed (no-op on pools without a flusher).
     {
@@ -634,30 +538,17 @@ Status BPlusTree::Scan(
       if (ahead != kInvalidPage) pool_->Prefetch(ahead);
     }
     bool stop = false;
-    if (leaf::IsCompressed(page)) {
-      bool exact = false;
-      size_t start = leaf::LowerBound(page, lo, &exact);
-      leaf::ForEachEntry(page, [&](size_t i, const Key& key, uint64_t value) {
-        if (i < start) return true;
-        if (std::memcmp(key.data(), hi.data(), kKeySize) > 0 ||
-            !fn(key, value)) {
-          stop = true;
-          return false;
-        }
-        return true;
-      });
-    } else {
-      uint16_t count = Count(page);
-      for (size_t i = LeafLowerBound(page, lo); i < count; ++i) {
-        Key key;
-        ReadKey(LeafEntry(page, i), &key);
-        if (std::memcmp(key.data(), hi.data(), kKeySize) > 0 ||
-            !fn(key, LeafValue(page, i))) {
-          stop = true;
-          break;
-        }
+    bool exact = false;
+    size_t start = leaf::LowerBound(page, lo, &exact);
+    leaf::ForEachEntry(page, [&](size_t i, const Key& key, uint64_t value) {
+      if (i < start) return true;
+      if (std::memcmp(key.data(), hi.data(), kKeySize) > 0 ||
+          !fn(key, value)) {
+        stop = true;
+        return false;
       }
-    }
+      return true;
+    });
     if (stop) {
       pool_->Unpin(leaf_id, false);
       return Status::OK();
@@ -688,9 +579,9 @@ Status BPlusTree::Validate() const {
     uint16_t count = Count(page);
     bool leaf_node = IsLeaf(page);
     Status status = Status::OK();
-    if (leaf_node && leaf::IsCompressed(page)) {
-      // The codec invariants subsume in-page ordering; only the subtree
-      // bounds remain to check here.
+    if (leaf_node) {
+      // The codec invariants (format byte included) subsume in-page
+      // ordering; only the subtree bounds remain to check here.
       status = leaf::ValidateLeaf(page);
       if (!status.ok()) {
         status = Status::Corruption(status.message() + " in page " +
@@ -700,7 +591,7 @@ Status BPlusTree::Validate() const {
     Key prev_key{}, cur_key{};
     for (size_t i = 0; i < count && status.ok(); ++i) {
       if (leaf_node) {
-        LeafKeyAt(page, i, &cur_key);
+        leaf::KeyAt(page, i, &cur_key);
       } else {
         ReadKey(InnerEntry(page, i), &cur_key);
       }
@@ -829,23 +720,15 @@ Status BPlusTree::ComputeLeafStats(LeafStats* stats) const {
     page_id = child;
   }
   while (page_id != kInvalidPage) {
-    RUIDX_ASSIGN_OR_RETURN(uint8_t* page, pool_->Fetch(page_id));
+    RUIDX_ASSIGN_OR_RETURN(uint8_t* page, FetchLeaf(pool_, page_id));
     ++stats->leaf_pages;
-    if (leaf::IsCompressed(page)) {
-      ++stats->compressed_pages;
-      leaf::PageStats ps;
-      leaf::AccumulateStats(page, &ps);
-      stats->entries += ps.entries;
-      stats->key_bytes_stored += ps.key_bytes_stored;
-      stats->key_bytes_raw += ps.key_bytes_raw;
-      for (size_t len = 0; len < ps.run_length_histogram.size(); ++len) {
-        stats->run_length_histogram[len] += ps.run_length_histogram[len];
-      }
-    } else {
-      uint64_t count = Count(page);
-      stats->entries += count;
-      stats->key_bytes_stored += count * kKeySize;
-      stats->key_bytes_raw += count * kKeySize;
+    leaf::PageStats ps;
+    leaf::AccumulateStats(page, &ps);
+    stats->entries += ps.entries;
+    stats->key_bytes_stored += ps.key_bytes_stored;
+    stats->key_bytes_raw += ps.key_bytes_raw;
+    for (size_t len = 0; len < ps.run_length_histogram.size(); ++len) {
+      stats->run_length_histogram[len] += ps.run_length_histogram[len];
     }
     uint32_t next = Link(page);
     pool_->Unpin(page_id, false);

@@ -3,7 +3,9 @@
 // identifiers — the paper's Sec. 4 points out that identifier-sorted
 // storage ("sorted first by the global index, and then by local index")
 // makes area-local operations cluster, which the benchmarks measure via
-// the pool's hit/miss counters.
+// the pool's hit/miss counters. Every leaf is a v2 page
+// (storage/leaf_codec.h); a call that reads a leaf with any other format
+// byte returns Corruption.
 #ifndef RUIDX_STORAGE_BPTREE_H_
 #define RUIDX_STORAGE_BPTREE_H_
 
@@ -79,25 +81,23 @@ class BPlusTree {
 
   /// Full structural check: keys sorted within every node, separator keys
   /// bound their subtrees, leaf chain in order, entry count consistent.
-  /// Compressed leaves additionally pass the codec's per-page invariants
+  /// Leaves additionally pass the codec's per-page invariants
   /// ([restart-point-order], [compressed-page-reconstruction]). Returns
   /// Corruption with a description on the first violation.
   Status Validate() const;
 
   /// Per-leaf compression accounting, aggregated over the leaf chain.
   /// key_bytes_stored counts what the pages actually spend on key material
-  /// (full keys on legacy pages; prefix + per-slot headers and suffixes on
-  /// compressed ones); key_bytes_raw is entries * kKeySize either way, so
-  /// stored/raw is the compression ratio and entries/leaf_pages the average
-  /// leaf fan-out.
+  /// (prefix + per-slot headers and suffixes); key_bytes_raw is
+  /// entries * kKeySize, so stored/raw is the compression ratio and
+  /// entries/leaf_pages the average leaf fan-out.
   struct LeafStats {
     uint64_t leaf_pages = 0;
-    uint64_t compressed_pages = 0;
     uint64_t entries = 0;
     uint64_t key_bytes_stored = 0;
     uint64_t key_bytes_raw = 0;
     /// run_length_histogram[len] = number of restart runs of `len` entries
-    /// across all compressed leaves (index 0 unused).
+    /// across all leaves (index 0 unused).
     std::vector<uint64_t> run_length_histogram;
   };
   Status ComputeLeafStats(LeafStats* stats) const;
@@ -116,12 +116,10 @@ class BPlusTree {
                                 uint64_t value, bool* inserted);
   /// Splits the pinned leaf `page` into itself plus a new right sibling,
   /// redistributing `all` (the leaf's entries with the new one already
-  /// spliced in) half-and-half and stitching the chain. `compressed` picks
-  /// the output format; a compressed source always stays compressed so the
-  /// halves are guaranteed to fit. Unpins `page_id` on every path.
+  /// spliced in) half-and-half and stitching the chain. Unpins `page_id` on
+  /// every path.
   Result<SplitResult> SplitLeaf(uint32_t page_id, uint8_t* page,
-                                std::vector<leaf::Entry> all,
-                                bool compressed);
+                                std::vector<leaf::Entry> all);
   /// Descends to the leaf that may hold `key`.
   Result<uint32_t> FindLeaf(const Key& key) const;
 

@@ -105,33 +105,23 @@ inline BigUint LoadKeyHalfBE(const uint8_t* in) {
 }  // namespace
 
 Result<BPlusTree::Key> EncodeIdKey(const core::Ruid2Id& id) {
-  BPlusTree::Key key{};
-  if (core::PackedFastPathEnabled() && id.global.FitsUint128() &&
-      id.local.FitsUint128()) {
-    StoreU128KeyHalfBE(key.data(), id.global.ToUint128());
-    StoreU128KeyHalfBE(key.data() + 16, id.local.ToUint128());
-    key[32] = id.is_area_root ? 1 : 0;
-    return key;
-  }
-  if (!id.global.ToBytesBE(key.data(), 16)) {
+  if (!id.global.FitsUint128()) {
     return Status::CapacityExceeded("global index exceeds 128 bits");
   }
-  if (!id.local.ToBytesBE(key.data() + 16, 16)) {
+  if (!id.local.FitsUint128()) {
     return Status::CapacityExceeded("local index exceeds 128 bits");
   }
+  BPlusTree::Key key{};
+  StoreU128KeyHalfBE(key.data(), id.global.ToUint128());
+  StoreU128KeyHalfBE(key.data() + 16, id.local.ToUint128());
   key[32] = id.is_area_root ? 1 : 0;
   return key;
 }
 
 core::Ruid2Id DecodeIdKey(const BPlusTree::Key& key) {
   core::Ruid2Id id;
-  if (core::PackedFastPathEnabled()) {
-    id.global = LoadKeyHalfBE(key.data());
-    id.local = LoadKeyHalfBE(key.data() + 16);
-  } else {
-    id.global = BigUint::FromBytesBE(key.data(), 16);
-    id.local = BigUint::FromBytesBE(key.data() + 16, 16);
-  }
+  id.global = LoadKeyHalfBE(key.data());
+  id.local = LoadKeyHalfBE(key.data() + 16);
   id.is_area_root = key[32] != 0;
   return id;
 }
@@ -148,11 +138,12 @@ namespace {
 //   [36..44) u64 name-index entry count
 //   [44..48) u32 path-index root page
 //   [48..56) u64 path-index entry count
-// Leaf pages self-describe their format (plain or prefix-compressed) via
-// their format byte. Earlier magics ("RXS3", "RXS4") marked a longer meta
-// page with fields this layout dropped; no such stores were deployed, and
-// Open and OpenSnapshot refuse them as Corruption.
-constexpr uint32_t kMetaMagic = 0x52585335;  // "RXS5"
+// Every leaf page is format v2 (storage/leaf_codec.h). Earlier magics
+// ("RXS3", "RXS4") marked a longer meta page with fields this layout
+// dropped, and "RXS5" stores may hold fixed-slot format-0 leaves; no such
+// stores were deployed, and Open and OpenSnapshot refuse them as
+// Corruption.
+constexpr uint32_t kMetaMagic = 0x52585336;  // "RXS6"
 constexpr size_t kMetaSize = 56;
 
 /// The sidecar journal lives next to the store file; anonymous temp-backed
@@ -866,13 +857,13 @@ Status ElementStore::VerifyOnDisk() {
                                   " shared between index trees");
       }
     }
-    // [restart-point-order] + [compressed-page-reconstruction]: every
-    // compressed leaf of the three trees, read raw from the flushed image,
-    // decodes cleanly and re-encodes run-for-run to its own bytes.
+    // [restart-point-order] + [compressed-page-reconstruction]: every leaf
+    // of the three trees, read raw from the flushed image, carries format
+    // v2, decodes cleanly and re-encodes run-for-run to its own bytes.
     for (uint32_t id : index_pages) {
       if (id >= page_count) continue;  // range violations reported below
       RUIDX_RETURN_NOT_OK(pager_->ReadPage(id, page.data()));
-      if (page[0] == 1 && leaf::IsCompressed(page.data())) {
+      if (page[0] == 1) {
         Status leaf_status = leaf::ValidateLeaf(page.data());
         if (!leaf_status.ok()) {
           return Status::Corruption(leaf_status.message() + " (page " +
@@ -992,7 +983,6 @@ Status ElementStore::ComputeLeafStats(BPlusTree::LeafStats* stats) const {
   BPlusTree::LeafStats part;
   auto merge = [stats](const BPlusTree::LeafStats& part) {
     stats->leaf_pages += part.leaf_pages;
-    stats->compressed_pages += part.compressed_pages;
     stats->entries += part.entries;
     stats->key_bytes_stored += part.key_bytes_stored;
     stats->key_bytes_raw += part.key_bytes_raw;

@@ -1,7 +1,6 @@
 #include "storage/leaf_codec.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <string>
 
@@ -10,17 +9,6 @@
 
 namespace ruidx {
 namespace storage {
-
-namespace {
-std::atomic<bool> g_leaf_compression{true};
-}  // namespace
-
-bool LeafCompressionEnabled() {
-  return g_leaf_compression.load(std::memory_order_relaxed);
-}
-void SetLeafCompressionEnabled(bool enabled) {
-  g_leaf_compression.store(enabled, std::memory_order_relaxed);
-}
 
 namespace leaf {
 
@@ -440,8 +428,10 @@ void EraseAt(uint8_t* page, size_t idx) {
 }
 
 Status ValidateLeaf(const uint8_t* page) {
-  if (!IsCompressed(page) || page[0] != 1) {
-    return Status::Corruption("not a compressed leaf page");
+  if (page[0] != 1 || !IsCompressed(page)) {
+    return Status::Corruption("not a v2 leaf page (flag " +
+                              std::to_string(page[0]) + ", format " +
+                              std::to_string(page[1]) + ")");
   }
   size_t count = PageCount(page);
   size_t prefix = PrefixLen(page);

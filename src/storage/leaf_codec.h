@@ -3,18 +3,21 @@
 // The structural identifier keys the tree stores are order-preserving byte
 // strings: sibling and descendant identifiers share long common prefixes
 // (all keys of one area share the 16-byte global half; consecutive locals
-// share most of their big-endian bytes). The legacy leaf layout spends 33
-// bytes per key regardless; this codec stores, per page, the byte prefix
+// share most of their big-endian bytes). A fixed-slot layout would spend
+// 33 bytes per key regardless; this codec stores, per page, the byte prefix
 // common to every key once, and per slot only the bytes that differ from
 // the previous key — the classic slotted-page front compression, with
 // restart points every kRestartInterval slots so point lookups stay
-// O(log runs + run length) and a slot edit stays local to its run.
+// O(log runs + run length) and a slot edit stays local to its run. It is
+// the only leaf format the B+tree writes or reads.
 //
-// Compressed leaf layout (header bytes [0..12) keep the legacy meaning so
-// chain walks and leaf detection never branch on format):
+// Leaf layout (header bytes [0..12) share the internal nodes' leaf flag,
+// count and link positions, so chain walks and leaf detection need no
+// decode):
 //   [0]  u8  is_leaf (1)
-//   [1]  u8  format: kLeafFormatCompressed; 0 on legacy pages (allocation
-//            zero-fills frames, so every pre-v2 page reads as legacy)
+//   [1]  u8  format: kLeafFormatCompressed (allocation zero-fills frames,
+//            so a page no codec call wrote reads as format 0 and is
+//            rejected)
 //   [2..4)   u16 count
 //   [4..8)   u32 next_leaf
 //   [8..12)  u32 prev_leaf
@@ -52,7 +55,6 @@ namespace leaf {
 constexpr size_t kKeySize = 33;  // mirrors BPlusTree::kKeySize
 using Key = std::array<uint8_t, kKeySize>;
 
-constexpr uint8_t kLeafFormatLegacy = 0;
 constexpr uint8_t kLeafFormatCompressed = 2;
 
 /// Fresh runs start every kRestartInterval entries; in-place inserts may
@@ -123,8 +125,8 @@ void EraseAt(uint8_t* page, size_t idx);
 /// bracketed invariant name on the first violation.
 Status ValidateLeaf(const uint8_t* page);
 
-/// Per-page accounting for the compression observability surfaces
-/// (`ruidx_tool check --store`, bench_compact).
+/// Per-page accounting for the compression observability surface
+/// (`ruidx_tool check --store`).
 struct PageStats {
   uint64_t entries = 0;
   uint64_t key_bytes_stored = 0;  // prefix + per-slot headers and suffixes
@@ -136,18 +138,6 @@ struct PageStats {
 void AccumulateStats(const uint8_t* page, PageStats* stats);
 
 }  // namespace leaf
-
-/// \name Leaf compression switch
-/// Process-wide toggle: with compression on (the default), fresh leaves —
-/// bulk loads, splits, new roots — are written in the compressed v2 format;
-/// legacy pages stay readable and writable either way (the format is
-/// per-page, self-describing). Benchmarks flip it to measure the legacy
-/// layout on the same binary.
-/// @{
-bool LeafCompressionEnabled();
-void SetLeafCompressionEnabled(bool enabled);
-/// @}
-
 }  // namespace storage
 }  // namespace ruidx
 

@@ -100,8 +100,8 @@ struct PackedChainSet {
 };
 
 /// Annotates `nodes` with packed chains. Returns false when any identifier
-/// on any chain leaves the packed range (or the fast path is off); the
-/// caller then reruns the BigUint annotation for both inputs.
+/// on any chain leaves the packed range; the caller then reruns the BigUint
+/// annotation for both inputs.
 bool AnnotatePackedChains(const core::Ruid2Scheme& scheme,
                           const std::vector<xml::Node*>& nodes,
                           PackedChainSet* out) {
@@ -187,12 +187,10 @@ JoinResult PackedStackJoin(PackedChainSet anc, PackedChainSet desc) {
 JoinResult StructuralJoinRuid(const core::Ruid2Scheme& scheme,
                               std::vector<xml::Node*> ancestors,
                               std::vector<xml::Node*> descendants) {
-  if (core::PackedFastPathEnabled()) {
-    PackedChainSet anc, desc;
-    if (AnnotatePackedChains(scheme, ancestors, &anc) &&
-        AnnotatePackedChains(scheme, descendants, &desc)) {
-      return PackedStackJoin(std::move(anc), std::move(desc));
-    }
+  PackedChainSet packed_anc, packed_desc;
+  if (AnnotatePackedChains(scheme, ancestors, &packed_anc) &&
+      AnnotatePackedChains(scheme, descendants, &packed_desc)) {
+    return PackedStackJoin(std::move(packed_anc), std::move(packed_desc));
   }
   std::vector<ChainedNode> anc = AnnotateChains(scheme, ancestors);
   std::vector<ChainedNode> desc = AnnotateChains(scheme, descendants);

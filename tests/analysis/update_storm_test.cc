@@ -1,8 +1,7 @@
 // Randomized update storm: seeded batches of insertions and deletions
 // against Ruid2Scheme (incremental paths and the external-mutation repair
-// path), with the full invariant verifier after every batch and the packed
-// fast path toggled both ways. The multilevel scheme gets the same storm
-// through its rebuild path.
+// path), with the full invariant verifier after every batch. The multilevel
+// scheme gets the same storm through its rebuild path.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,7 +9,6 @@
 #include <vector>
 
 #include "analysis/invariant_checker.h"
-#include "core/packed_ruid2_id.h"
 #include "core/ruid2.h"
 #include "core/ruidm.h"
 #include "storage/element_store.h"
@@ -47,10 +45,7 @@ CheckOptions StormOptions() {
   return options;
 }
 
-void RunStorm(uint64_t seed, bool packed_enabled) {
-  const bool saved = core::PackedFastPathEnabled();
-  core::SetPackedFastPathEnabled(packed_enabled);
-
+void RunStorm(uint64_t seed) {
   xml::RandomTreeConfig config;
   config.node_budget = 220;
   config.max_fanout = 5;
@@ -108,8 +103,8 @@ void RunStorm(uint64_t seed, bool packed_enabled) {
     CheckReport report;
     Status st =
         CheckDocumentInvariants(scheme, doc->root(), options, &report);
-    ASSERT_TRUE(st.ok()) << "seed=" << seed << " packed=" << packed_enabled
-                         << " batch=" << batch << ": " << st.ToString();
+    ASSERT_TRUE(st.ok()) << "seed=" << seed << " batch=" << batch << ": "
+                         << st.ToString();
     ASSERT_EQ(report.nodes_checked, scheme.label_count());
 
     // Every few batches, materialize the relabeled document into a store
@@ -127,16 +122,10 @@ void RunStorm(uint64_t seed, bool packed_enabled) {
           << store_st.ToString();
     }
   }
-
-  core::SetPackedFastPathEnabled(saved);
 }
 
-TEST(UpdateStormTest, Ruid2SurvivesStormPackedOn) {
-  for (uint64_t seed : {1u, 12u, 123u}) RunStorm(seed, /*packed=*/true);
-}
-
-TEST(UpdateStormTest, Ruid2SurvivesStormPackedOff) {
-  for (uint64_t seed : {7u, 77u}) RunStorm(seed, /*packed=*/false);
+TEST(UpdateStormTest, Ruid2SurvivesStorm) {
+  for (uint64_t seed : {1u, 7u, 12u, 77u, 123u}) RunStorm(seed);
 }
 
 TEST(UpdateStormTest, RuidMSurvivesRebuildStorm) {

@@ -1,10 +1,12 @@
-// The packed fast path must be invisible: every operation with
-// SetPackedFastPathEnabled(true) must return exactly what the pure BigUint
-// path returns — same values, same status codes, same messages — including
-// on trees engineered to overflow the packed range (locals past 2^63,
-// globals past 2^128) where individual steps fall back mid-chain.
+// The packed fast path must be invisible: every identifier entry point
+// (packed first, BigUint on kFallback) must return exactly what the BigUint
+// reference returns when called directly — same values, same status codes,
+// same messages — including on trees engineered to overflow the packed
+// range (locals past 2^63, globals past 2^128) where individual steps fall
+// back mid-chain.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -19,18 +21,6 @@
 namespace ruidx {
 namespace core {
 namespace {
-
-/// Restores the process-wide toggle no matter how a test exits.
-class ScopedFastPath {
- public:
-  explicit ScopedFastPath(bool enabled) : saved_(PackedFastPathEnabled()) {
-    SetPackedFastPathEnabled(enabled);
-  }
-  ~ScopedFastPath() { SetPackedFastPathEnabled(saved_); }
-
- private:
-  bool saved_;
-};
 
 BigUint Pow2(int bits) {
   BigUint v(1);
@@ -115,21 +105,27 @@ PartitionOptions TinyAreas() {
   return options;
 }
 
-/// Asserts that every id-level operation agrees between the packed fast
-/// path and the pure BigUint path on an already-built scheme.
+/// The BigUint reference's root-to-node chain of `id` (the node last).
+std::vector<Ruid2Id> ReferenceChain(const Ruid2Scheme& scheme,
+                                    const Ruid2Id& id) {
+  std::vector<Ruid2Id> chain =
+      RuidAncestorsBigUint(id, scheme.kappa(), scheme.ktable());
+  std::reverse(chain.begin(), chain.end());
+  chain.push_back(id);
+  return chain;
+}
+
+/// Asserts that every id-level entry point of an already-built scheme
+/// agrees with the BigUint reference, called directly.
 void ExpectPathsAgree(const Ruid2Scheme& scheme, xml::Node* root) {
   std::vector<xml::Node*> nodes = ruidx::testing::AllNodes(root);
-  // Parent and Ancestors for every node.
+  // Parent and Ancestors (and AncestorsPacked, when it answers) for every
+  // node.
   for (xml::Node* n : nodes) {
     const Ruid2Id& id = scheme.label(n);
-    Result<Ruid2Id> fast = [&] {
-      ScopedFastPath on(true);
-      return scheme.Parent(id);
-    }();
-    Result<Ruid2Id> slow = [&] {
-      ScopedFastPath off(false);
-      return scheme.Parent(id);
-    }();
+    Result<Ruid2Id> fast = scheme.Parent(id);
+    Result<Ruid2Id> slow =
+        RuidParentBigUint(id, scheme.kappa(), scheme.ktable());
     ASSERT_EQ(fast.ok(), slow.ok()) << id.ToString();
     if (fast.ok()) {
       EXPECT_EQ(*fast, *slow) << id.ToString();
@@ -138,35 +134,45 @@ void ExpectPathsAgree(const Ruid2Scheme& scheme, xml::Node* root) {
       EXPECT_EQ(fast.status().message(), slow.status().message())
           << id.ToString();
     }
-    std::vector<Ruid2Id> fast_chain, slow_chain;
-    {
-      ScopedFastPath on(true);
-      fast_chain = scheme.Ancestors(id);
+    std::vector<Ruid2Id> slow_chain =
+        RuidAncestorsBigUint(id, scheme.kappa(), scheme.ktable());
+    EXPECT_EQ(scheme.Ancestors(id), slow_chain) << id.ToString();
+    std::vector<PackedRuid2Id> packed;
+    if (scheme.AncestorsPacked(id, &packed)) {
+      std::vector<Ruid2Id> unpacked;
+      for (const PackedRuid2Id& p : packed) {
+        unpacked.push_back(UnpackRuid2Id(p));
+      }
+      EXPECT_EQ(unpacked, slow_chain) << id.ToString();
     }
-    {
-      ScopedFastPath off(false);
-      slow_chain = scheme.Ancestors(id);
-    }
-    EXPECT_EQ(fast_chain, slow_chain) << id.ToString();
   }
-  // Order and ancestorship on a deterministic sample of pairs.
+  // Order and ancestorship on a deterministic sample of pairs, against
+  // Fig. 10 on the reference chains: the first divergent pair are siblings
+  // ordered by local index, and a proper prefix is an ancestor.
   Rng rng(2026);
   for (int trial = 0; trial < 400; ++trial) {
     xml::Node* a = nodes[rng.Next() % nodes.size()];
     xml::Node* b = nodes[rng.Next() % nodes.size()];
     const Ruid2Id& ia = scheme.label(a);
     const Ruid2Id& ib = scheme.label(b);
-    int fast_cmp;
-    bool fast_anc;
-    {
-      ScopedFastPath on(true);
-      fast_cmp = scheme.CompareIds(ia, ib);
-      fast_anc = scheme.IsAncestorId(ia, ib);
+    std::vector<Ruid2Id> ca = ReferenceChain(scheme, ia);
+    std::vector<Ruid2Id> cb = ReferenceChain(scheme, ib);
+    size_t i = 0;
+    while (i < ca.size() && i < cb.size() && ca[i] == cb[i]) ++i;
+    int want_cmp = 0;
+    if (a != b) {
+      if (i == ca.size()) {
+        want_cmp = -1;  // a is an ancestor of b
+      } else if (i == cb.size()) {
+        want_cmp = 1;
+      } else {
+        want_cmp = ca[i].local < cb[i].local ? -1 : 1;
+      }
     }
-    ScopedFastPath off(false);
-    EXPECT_EQ(fast_cmp, scheme.CompareIds(ia, ib))
+    bool want_anc = a != b && i == ca.size();
+    EXPECT_EQ(scheme.CompareIds(ia, ib), want_cmp)
         << ia.ToString() << " vs " << ib.ToString();
-    EXPECT_EQ(fast_anc, scheme.IsAncestorId(ia, ib))
+    EXPECT_EQ(scheme.IsAncestorId(ia, ib), want_anc)
         << ia.ToString() << " vs " << ib.ToString();
   }
 }
@@ -233,17 +239,10 @@ TEST(PackedEquivalenceTest, StructuralJoinAgrees) {
   });
   ASSERT_FALSE(ancestors.empty());
   ASSERT_FALSE(descendants.empty());
-  xpath::JoinResult fast, slow;
-  {
-    ScopedFastPath on(true);
-    fast = xpath::StructuralJoinRuid(scheme, ancestors, descendants);
-  }
-  {
-    ScopedFastPath off(false);
-    slow = xpath::StructuralJoinRuid(scheme, ancestors, descendants);
-  }
+  xpath::JoinResult fast =
+      xpath::StructuralJoinRuid(scheme, ancestors, descendants);
   EXPECT_FALSE(fast.empty());
-  EXPECT_EQ(fast, slow);
+  EXPECT_EQ(fast, xpath::StructuralJoinNestedLoop(ancestors, descendants));
 }
 
 TEST(PackedEquivalenceTest, StructuralJoinAgreesOnOverflowTree) {
@@ -256,23 +255,18 @@ TEST(PackedEquivalenceTest, StructuralJoinAgreesOnOverflowTree) {
     if (n->children().empty()) descendants.push_back(n);
     return true;
   });
-  xpath::JoinResult fast, slow;
-  {
-    ScopedFastPath on(true);  // must fall back internally, not misbehave
-    fast = xpath::StructuralJoinRuid(scheme, ancestors, descendants);
-  }
-  {
-    ScopedFastPath off(false);
-    slow = xpath::StructuralJoinRuid(scheme, ancestors, descendants);
-  }
+  // Some chains leave the packed range: the join must fall back
+  // internally, not misbehave.
+  xpath::JoinResult fast =
+      xpath::StructuralJoinRuid(scheme, ancestors, descendants);
   EXPECT_FALSE(fast.empty());
-  EXPECT_EQ(fast, slow);
+  EXPECT_EQ(fast, xpath::StructuralJoinNestedLoop(ancestors, descendants));
 }
 
 TEST(PackedEquivalenceTest, ElementStoreKeysRoundTripAcrossBoundary) {
   // Records whose components sit at and across the packed boundaries must
-  // round-trip identically whether keys are encoded by the packed fast path
-  // or the BigUint path — the two encoders must emit identical bytes.
+  // round-trip through a store, and their keys must be byte-for-byte the
+  // BigUint big-endian halves plus the flag byte.
   std::vector<Ruid2Id> ids{
       Ruid2RootId(),
       Ruid2Id{BigUint(3), BigUint(900), false},
@@ -285,39 +279,26 @@ TEST(PackedEquivalenceTest, ElementStoreKeysRoundTripAcrossBoundary) {
       // components at 96 bits); both halves need the second packed word.
       Ruid2Id{Pow2(96) - 1, Pow2(96) - 1, true},
   };
-  for (bool fast : {true, false}) {
-    ScopedFastPath scoped(fast);
-    auto store = storage::ElementStore::Create("");
-    ASSERT_TRUE(store.ok());
-    for (const Ruid2Id& id : ids) {
-      storage::ElementRecord record;
-      record.id = id;
-      record.parent_id = id;
-      record.name = "e";
-      record.node_type = 1;
-      ASSERT_TRUE((*store)->Put(record).ok()) << id.ToString();
-    }
-    for (const Ruid2Id& id : ids) {
-      auto got = (*store)->Get(id);
-      ASSERT_TRUE(got.ok()) << id.ToString() << " fast=" << fast;
-      EXPECT_EQ(got->id, id);
-    }
+  for (const Ruid2Id& id : ids) {
+    auto key = storage::EncodeIdKey(id);
+    ASSERT_TRUE(key.ok()) << id.ToString();
+    storage::BPlusTree::Key want{};
+    ASSERT_TRUE(id.global.ToBytesBE(want.data(), 16));
+    ASSERT_TRUE(id.local.ToBytesBE(want.data() + 16, 16));
+    want[32] = id.is_area_root ? 1 : 0;
+    EXPECT_EQ(*key, want) << id.ToString();
+    EXPECT_EQ(storage::DecodeIdKey(*key), id) << id.ToString();
   }
-  // Cross-mode: written with the fast path, read with it disabled.
   auto store = storage::ElementStore::Create("");
   ASSERT_TRUE(store.ok());
-  {
-    ScopedFastPath on(true);
-    for (const Ruid2Id& id : ids) {
-      storage::ElementRecord record;
-      record.id = id;
-      record.parent_id = id;
-      record.name = "e";
-      record.node_type = 1;
-      ASSERT_TRUE((*store)->Put(record).ok());
-    }
+  for (const Ruid2Id& id : ids) {
+    storage::ElementRecord record;
+    record.id = id;
+    record.parent_id = id;
+    record.name = "e";
+    record.node_type = 1;
+    ASSERT_TRUE((*store)->Put(record).ok()) << id.ToString();
   }
-  ScopedFastPath off(false);
   for (const Ruid2Id& id : ids) {
     auto got = (*store)->Get(id);
     ASSERT_TRUE(got.ok()) << id.ToString();
@@ -327,7 +308,7 @@ TEST(PackedEquivalenceTest, ElementStoreKeysRoundTripAcrossBoundary) {
 
 TEST(PackedEquivalenceTest, RandomizedParentChainsAgree) {
   // Randomized sweep across partition budgets: rebuild, then compare the
-  // full parent chain of every node between the two paths.
+  // full parent chain of every node with the BigUint reference.
   Rng rng(99);
   for (int round = 0; round < 6; ++round) {
     xml::RandomTreeConfig config;
@@ -341,6 +322,64 @@ TEST(PackedEquivalenceTest, RandomizedParentChainsAgree) {
     Ruid2Scheme scheme(options);
     scheme.Build(doc->root());
     ExpectPathsAgree(scheme, doc->root());
+  }
+}
+
+/// Asserts that every identifier of `scheme` packs and that neither
+/// PackedRuidParent nor the packed ancestor chains ever fall back: on this
+/// document the BigUint arms serve no call.
+void ExpectPackedPathNeverFallsBack(const Ruid2Scheme& scheme) {
+  std::vector<PackedRuid2Id> chain;
+  scheme.ForEachLabeled([&](const xml::Node*, const Ruid2Id& id) {
+    PackedRuid2Id packed;
+    ASSERT_TRUE(PackRuid2Id(id, &packed)) << id.ToString();
+    PackedRuid2Id parent;
+    EXPECT_NE(PackedRuidParent(packed, scheme.kappa(), scheme.ktable(),
+                               &parent),
+              PackedParentStatus::kFallback)
+        << id.ToString();
+    EXPECT_TRUE(scheme.AncestorsPacked(id, &chain)) << id.ToString();
+  });
+}
+
+TEST(PackedCoverageTest, EveryIdentifierPacksWithoutFallback) {
+  // The shapes the packed path must carry alone: a 20000-node uniform tree
+  // and an XMark document under small areas, and the deep band — one node
+  // per area down a depth-75 spine, so frame globals cross 2^64.
+  PartitionOptions bench_areas;
+  bench_areas.max_area_nodes = 64;
+  bench_areas.max_area_depth = 4;
+  {
+    auto doc = xml::GenerateUniformTree(20000, 4);
+    Ruid2Scheme scheme(bench_areas);
+    scheme.Build(doc->root());
+    ExpectPackedPathNeverFallsBack(scheme);
+  }
+  {
+    xml::XmarkConfig config;
+    config.items = 500;
+    config.people = 375;
+    config.open_auctions = 300;
+    config.closed_auctions = 187;
+    config.categories = 77;
+    auto doc = xml::GenerateXmarkLike(config);
+    Ruid2Scheme scheme(bench_areas);
+    scheme.Build(doc->root());
+    ExpectPackedPathNeverFallsBack(scheme);
+  }
+  {
+    xml::DeepTreeConfig config;
+    config.depth = 75;
+    config.siblings_per_level = 2;
+    auto doc = xml::GenerateDeepTree(config);
+    Ruid2Scheme scheme(TinyAreas());
+    scheme.Build(doc->root());
+    uint64_t past_64_bits = 0;
+    scheme.ForEachLabeled([&](const xml::Node*, const Ruid2Id& id) {
+      if (!id.global.FitsUint64()) ++past_64_bits;
+    });
+    ASSERT_GT(past_64_bits, 0u) << "the deep band no longer crosses 2^64";
+    ExpectPackedPathNeverFallsBack(scheme);
   }
 }
 

@@ -346,6 +346,35 @@ TEST_F(BPlusTreeTest, BulkLoadSortedSupportsLaterUpdates) {
   EXPECT_EQ(*odd, 1000099u);
 }
 
+TEST_F(BPlusTreeTest, EveryReadRejectsLeafWithoutV2Format) {
+  // Every leaf the tree writes is format v2. A leaf whose format byte says
+  // anything else is a page the tree never wrote: each call that reads it
+  // must report Corruption instead of decoding it under another layout.
+  for (uint64_t i = 0; i < 40; ++i) {
+    ASSERT_TRUE(tree_->Insert(MakeKey(i), i).ok());
+  }
+  auto height = tree_->Height();
+  ASSERT_TRUE(height.ok());
+  ASSERT_EQ(*height, 1);  // the root is the only leaf
+  const uint32_t leaf = tree_->root_page();
+  auto page = pool_->Fetch(leaf);
+  ASSERT_TRUE(page.ok());
+  (*page)[1] = 0;
+  pool_->Unpin(leaf, /*dirty=*/true);
+
+  EXPECT_TRUE(tree_->Get(MakeKey(3)).status().IsCorruption());
+  EXPECT_TRUE(tree_
+                  ->Scan(MakeKey(0), MakeKey(100),
+                         [](const BPlusTree::Key&, uint64_t) { return true; })
+                  .IsCorruption());
+  EXPECT_TRUE(tree_->Insert(MakeKey(100), 100).IsCorruption());
+  EXPECT_TRUE(tree_->Erase(MakeKey(3)).IsCorruption());
+  EXPECT_TRUE(tree_->Validate().IsCorruption());
+  BPlusTree::LeafStats stats;
+  EXPECT_TRUE(tree_->ComputeLeafStats(&stats).IsCorruption());
+  EXPECT_EQ(tree_->entry_count(), 40u);
+}
+
 }  // namespace
 }  // namespace storage
 }  // namespace ruidx

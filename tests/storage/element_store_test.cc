@@ -230,12 +230,16 @@ TEST(ElementStoreEdgeTest, PersistsAcrossReopen) {
 TEST(ElementStoreEdgeTest, OpenRejectsGarbageFile) {
   std::string path = ::testing::TempDir() + "/ruidx_garbage.db";
   std::vector<char> junk(kPageSize, 'x');
-  // A page 0 stamped by the earlier meta layout ("RXS4", which also named
-  // a filter page chain) and otherwise zero, so its trailer passes.
+  // Page 0 stamped by an earlier meta layout and otherwise zero, so its
+  // trailer passes: "RXS4" also named a filter page chain, and "RXS5"
+  // stores may hold fixed-slot format-0 leaves.
   std::vector<char> rxs4(kPageSize, 0);
   const uint32_t rxs4_magic = 0x52585334;
   std::memcpy(rxs4.data(), &rxs4_magic, 4);
-  for (const std::vector<char>* page : {&junk, &rxs4}) {
+  std::vector<char> rxs5(kPageSize, 0);
+  const uint32_t rxs5_magic = 0x52585335;
+  std::memcpy(rxs5.data(), &rxs5_magic, 4);
+  for (const std::vector<char>* page : {&junk, &rxs4, &rxs5}) {
     std::remove((path + ".wal").c_str());
     std::FILE* f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
@@ -244,6 +248,50 @@ TEST(ElementStoreEdgeTest, OpenRejectsGarbageFile) {
     auto store = ElementStore::Open(path);
     EXPECT_TRUE(store.status().IsCorruption()) << store.status().ToString();
   }
+  std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
+}
+
+TEST(ElementStoreEdgeTest, VerifyOnDiskRejectsLeafWithoutV2Format) {
+  // A primary-tree leaf whose format byte is not v2, checksum intact: the
+  // on-disk battery must name the leaf, and reads through it must fail.
+  std::string path = ::testing::TempDir() + "/ruidx_leaf_format.db";
+  std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
+  auto doc = xml::GenerateUniformTree(30, 3);
+  core::Ruid2Scheme scheme(SmallAreas());
+  scheme.Build(doc->root());
+  {
+    auto store = ElementStore::Create(path);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE((*store)->BulkLoad(scheme, doc->root()).ok());
+    ASSERT_TRUE((*store)->Flush().ok());
+  }
+  {
+    // Meta bytes [4..8) name the primary tree's root; 30 records fit one
+    // leaf, so the root is that leaf.
+    auto pager = Pager::Open(path);
+    ASSERT_TRUE(pager.ok()) << pager.status().ToString();
+    std::vector<uint8_t> page(kPageSize);
+    ASSERT_TRUE((*pager)->ReadPage(0, page.data()).ok());
+    uint32_t root = 0;
+    std::memcpy(&root, page.data() + 4, 4);
+    ASSERT_TRUE((*pager)->ReadPage(root, page.data()).ok());
+    ASSERT_EQ(page[0], 1);  // a leaf
+    page[1] = 0;
+    StampPageTrailer(page.data(), PageTrailerLsn(page.data()));
+    ASSERT_TRUE((*pager)->WritePage(root, page.data()).ok());
+    ASSERT_TRUE((*pager)->Sync().ok());
+  }
+  auto store = ElementStore::Open(path);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  Status verify = (*store)->VerifyOnDisk();
+  EXPECT_TRUE(verify.IsCorruption()) << verify.ToString();
+  EXPECT_NE(verify.message().find("not a v2 leaf page"), std::string::npos)
+      << verify.ToString();
+  EXPECT_TRUE(
+      (*store)->Get(scheme.label(doc->root())).status().IsCorruption());
+  store->reset();
   std::remove(path.c_str());
   std::remove((path + ".wal").c_str());
 }
@@ -387,6 +435,29 @@ TEST(ElementStoreBulkLoadTest, MatchesPutLoopOnManyAreaDocument) {
     std::remove(path.c_str());
     std::remove((path + ".wal").c_str());
   }
+}
+
+TEST(ElementStoreBulkLoadTest, UniformLeavesHoldAtLeast112Entries) {
+  // Leaf fan-out floor for the v2 leaf codec: a bulk-loaded 20000-node
+  // uniform store averages at least 112 entries per leaf page across the
+  // primary and both posting trees — 1.3x the 85.8 that 33-byte fixed
+  // slots fit into the 7/8-full bulk-load budget.
+  auto doc = xml::GenerateUniformTree(20000, 4);
+  core::PartitionOptions areas;
+  areas.max_area_nodes = 64;
+  areas.max_area_depth = 4;
+  core::Ruid2Scheme scheme(areas);
+  scheme.Build(doc->root());
+  auto store = ElementStore::Create("");
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE((*store)->BulkLoad(scheme, doc->root()).ok());
+  BPlusTree::LeafStats stats;
+  ASSERT_TRUE((*store)->ComputeLeafStats(&stats).ok());
+  ASSERT_GT(stats.leaf_pages, 0u);
+  double fanout = static_cast<double>(stats.entries) /
+                  static_cast<double>(stats.leaf_pages);
+  EXPECT_GE(fanout, 112.0) << stats.entries << " entries in "
+                           << stats.leaf_pages << " leaf pages";
 }
 
 TEST(ElementStoreBulkLoadTest, FailedBatchLeavesStoreEmpty) {

@@ -1,7 +1,6 @@
 // Compressed leaf codec (page format v2): randomized key-corpus round
 // trips, boundary fuzz (empty suffixes, full-prefix collisions, restart
-// edges), run-local insert/erase churn against a reference map, and
-// read-back of stores written in the legacy (uncompressed) format.
+// edges), and run-local insert/erase churn against a reference map.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,13 +9,8 @@
 #include <random>
 #include <vector>
 
-#include "storage/bptree.h"
-#include "storage/buffer_pool.h"
-#include "storage/element_store.h"
 #include "storage/leaf_codec.h"
 #include "storage/pager.h"
-#include "testutil.h"
-#include "xml/generator.h"
 
 namespace ruidx {
 namespace storage {
@@ -24,20 +18,6 @@ namespace {
 
 using leaf::Entry;
 using leaf::Key;
-
-// Restores the process-wide compression toggle on scope exit so a failing
-// test cannot leak a flipped toggle into the rest of the binary.
-class ScopedLeafCompression {
- public:
-  explicit ScopedLeafCompression(bool enabled)
-      : saved_(LeafCompressionEnabled()) {
-    SetLeafCompressionEnabled(enabled);
-  }
-  ~ScopedLeafCompression() { SetLeafCompressionEnabled(saved_); }
-
- private:
-  bool saved_;
-};
 
 Key MakeKey(uint64_t hi, uint64_t lo, uint8_t tail = 0) {
   Key key{};
@@ -346,114 +326,6 @@ TEST(LeafCodecTest, RandomChurnMatchesReferenceMap) {
   std::transform(reference.begin(), reference.end(), want.begin(),
                  [](const auto& kv) { return Entry{kv.first, kv.second}; });
   ExpectPageMatches(page.data(), want);
-}
-
-BPlusTree::Key TreeKey(uint64_t v) {
-  BPlusTree::Key key{};
-  for (int i = 0; i < 8; ++i) {
-    key[31 - i] = static_cast<uint8_t>(v >> (8 * i));
-  }
-  return key;
-}
-
-TEST(LeafCodecTest, TreeMixesLegacyAndCompressedPages) {
-  // Start a tree with compression off (legacy leaves), flip it on, and
-  // keep inserting: legacy pages stay legacy until they split, new pages
-  // come out compressed, and Validate covers both formats at once.
-  auto pager = Pager::Open("");
-  ASSERT_TRUE(pager.ok());
-  BufferPool pool(pager->get(), 32);
-  uint32_t root;
-  {
-    ScopedLeafCompression off(false);
-    auto created = BPlusTree::Create(&pool);
-    ASSERT_TRUE(created.ok());
-    for (uint64_t i = 0; i < 2000; ++i) {
-      ASSERT_TRUE(created->Insert(TreeKey(i * 4), i).ok());
-    }
-    ASSERT_TRUE(created->Validate().ok());
-    root = created->root_page();
-  }
-  {
-    ScopedLeafCompression on(true);
-    BPlusTree tree = BPlusTree::Attach(&pool, root, 2000);
-    // Only the low quarter of the key space takes new inserts: those
-    // legacy leaves overflow and split into compressed pages while the
-    // untouched upper leaves stay legacy.
-    for (uint64_t i = 0; i < 500; ++i) {
-      ASSERT_TRUE(tree.Insert(TreeKey(i * 4 + 1), i).ok());
-    }
-    Status st = tree.Validate();
-    ASSERT_TRUE(st.ok()) << st.ToString();
-    for (uint64_t i = 0; i < 2000; i += 97) {
-      auto even = tree.Get(TreeKey(i * 4));
-      ASSERT_TRUE(even.ok());
-      EXPECT_EQ(*even, i);
-    }
-    for (uint64_t i = 0; i < 500; i += 41) {
-      auto odd = tree.Get(TreeKey(i * 4 + 1));
-      ASSERT_TRUE(odd.ok());
-      EXPECT_EQ(*odd, i);
-    }
-    // Erases must work on both formats too.
-    for (uint64_t i = 0; i < 2000; i += 3) {
-      ASSERT_TRUE(tree.Erase(TreeKey(i * 4)).ok());
-    }
-    ASSERT_TRUE(tree.Validate().ok());
-    // Stats see both formats.
-    BPlusTree::LeafStats stats;
-    ASSERT_TRUE(tree.ComputeLeafStats(&stats).ok());
-    EXPECT_GT(stats.leaf_pages, stats.compressed_pages);
-    EXPECT_GT(stats.compressed_pages, 0u);
-  }
-}
-
-TEST(LeafCodecTest, LegacyStoreReadsBackUnderCompression) {
-  // A store written entirely in the legacy format (pre-v2 binary) must
-  // open, verify, and accept new writes with compression enabled — the
-  // transparent-migration guarantee of the meta version bump.
-  std::string path = ::testing::TempDir() + "/ruidx_legacy_readback.db";
-  std::remove(path.c_str());
-  auto doc = xml::GenerateDblpLike(60);
-  core::Ruid2Scheme scheme;
-  scheme.Build(doc->root());
-  uint64_t expected_count = 0;
-  {
-    ScopedLeafCompression off(false);
-    auto store = ElementStore::Create(path, 16);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    ASSERT_TRUE((*store)->BulkLoad(scheme, doc->root()).ok());
-    expected_count = (*store)->record_count();
-    ASSERT_TRUE((*store)->Flush().ok());
-  }
-  {
-    ScopedLeafCompression on(true);
-    auto store = ElementStore::Open(path, 16);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    EXPECT_EQ((*store)->record_count(), expected_count);
-    Status verify = (*store)->VerifyOnDisk();
-    EXPECT_TRUE(verify.ok()) << verify.ToString();
-    // Old records read back...
-    auto nodes = ruidx::testing::AllNodes(doc->root());
-    for (size_t i = 0; i < nodes.size(); i += 217) {
-      auto record = (*store)->Get(scheme.label(nodes[i]));
-      ASSERT_TRUE(record.ok()) << record.status().ToString();
-      EXPECT_EQ(record->name, nodes[i]->name());
-    }
-    // ...and new writes (which may split legacy pages into compressed
-    // ones) keep the store consistent.
-    for (uint64_t i = 0; i < 500; ++i) {
-      ElementRecord extra;
-      extra.id = core::Ruid2Id{BigUint(7777777 + i), BigUint(2), false};
-      extra.parent_id = extra.id;
-      extra.name = "extra";
-      ASSERT_TRUE((*store)->Put(extra).ok());
-    }
-    ASSERT_TRUE((*store)->Flush().ok());
-    verify = (*store)->VerifyOnDisk();
-    EXPECT_TRUE(verify.ok()) << verify.ToString();
-  }
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -409,8 +409,7 @@ int CmdCheck(const std::string& path, const CommonOptions& options) {
                         static_cast<double>(leaves.entries);
         double after = static_cast<double>(leaves.key_bytes_stored) /
                        static_cast<double>(leaves.entries);
-        std::cout << "leaves: " << leaves.leaf_pages << " pages ("
-                  << leaves.compressed_pages << " compressed), "
+        std::cout << "leaves: " << leaves.leaf_pages << " pages, "
                   << TablePrinter::FormatDouble(before, 1)
                   << " bytes/key raw -> "
                   << TablePrinter::FormatDouble(after, 1)
