@@ -21,7 +21,12 @@ void RuidAxes::Refresh() {
   area_index_.clear();
   xml::Node* main_root =
       partition.areas.empty() ? nullptr : partition.areas[0].root;
+  for (size_t i = 0; i < partition.areas.size(); ++i) {
+    area_members_[i].by_local.reserve(partition.areas[i].member_count);
+  }
+  uint32_t serial_bound = 0;
   scheme_->ForEachLabeled([&](xml::Node* n, const Ruid2Id& id) {
+    serial_bound = std::max(serial_bound, n->serial() + 1);
     // The main root is nominally a member of its own area with local index
     // 1, but it can never appear on anyone's child/sibling/preceding/
     // following/descendant axis, so the member lists skip it.
@@ -40,6 +45,69 @@ void RuidAxes::Refresh() {
               area_members_[i].by_local.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
     area_index_[area_members_[i].global] = i;
+    uint32_t up = partition.areas[i].parent_area;
+    if (up != Partition::kNoArea) {
+      area_members_[up].frame_children.push_back(i);
+    }
+  }
+
+  rank_.assign(serial_bound, kUnranked);
+  if (main_root != nullptr) RankInPreorder(main_root);
+}
+
+void RuidAxes::RankInPreorder(xml::Node* main_root) {
+  // rchildren of α in an area with fan-out k is the local range
+  // [(α-1)k+2, αk+1], so the child runs of the area root (α = 1) and then
+  // of each member in local order tile the local-sorted member list: one
+  // sweep per area finds them all. run_end[a][0] ends the root's run in
+  // area a, run_end[a][p + 1] the run of member p.
+  std::vector<std::vector<uint32_t>> run_end(area_members_.size());
+  for (size_t a = 0; a < area_members_.size(); ++a) {
+    const auto& members = area_members_[a].by_local;
+    uint64_t k = area_members_[a].fanout;
+    std::vector<uint32_t>& ends = run_end[a];
+    ends.resize(members.size() + 1);
+    uint32_t next = 0;
+    auto close_run = [&](const BigUint& alpha, size_t slot) {
+      BigUint last_child = UidChild(alpha, k, k - 1);
+      while (next < members.size() && members[next].first <= last_child) {
+        ++next;
+      }
+      ends[slot] = next;
+    };
+    close_run(BigUint(1), 0);
+    for (size_t p = 0; p < members.size(); ++p) {
+      close_run(members[p].first, p + 1);
+    }
+  }
+  // The walk itself: by Lemma 2 the preorder of rchildren is document
+  // order, so the visit count is the preorder rank. An area root's
+  // children are its own area's root run.
+  struct Run {
+    size_t area;
+    uint32_t next;
+    uint32_t end;
+  };
+  const auto& rooted_area = scheme_->partition().rooted_area;
+  uint32_t next_rank = 0;
+  rank_[main_root->serial()] = next_rank++;
+  std::vector<Run> stack{{0, 0, run_end[0][0]}};
+  while (!stack.empty()) {
+    Run& run = stack.back();
+    if (run.next == run.end) {
+      stack.pop_back();
+      continue;
+    }
+    size_t area = run.area;
+    uint32_t p = run.next++;
+    xml::Node* n = area_members_[area].by_local[p].second;
+    rank_[n->serial()] = next_rank++;
+    auto rooted = rooted_area.find(n->serial());
+    if (rooted == rooted_area.end()) {
+      stack.push_back({area, run_end[area][p], run_end[area][p + 1]});
+    } else {
+      stack.push_back({rooted->second, 0, run_end[rooted->second][0]});
+    }
   }
 }
 
@@ -108,65 +176,56 @@ std::vector<Ruid2Id> RuidAxes::ChildSlots(const Ruid2Id& id) const {
 
 std::vector<xml::Node*> RuidAxes::Children(const Ruid2Id& id) const {
   std::vector<xml::Node*> out;
+  AppendChildren(id, &out);
+  return out;
+}
+
+void RuidAxes::AppendChildren(const Ruid2Id& id,
+                              std::vector<xml::Node*>* out) const {
   const AreaMembers* area = FindArea(id.global);
-  if (area == nullptr) return out;
+  if (area == nullptr) return;
   // Child locals occupy the contiguous range [(α-1)k+2, αk+1]; one range
   // search in the local-sorted member list yields them in document order.
   uint64_t k = area->fanout;
   BigUint alpha = id.is_area_root ? BigUint(1) : id.local;
   BigUint lo = UidChild(alpha, k, 0);
   BigUint hi = UidChild(alpha, k, k - 1);
-  AppendChildrenInRange(*area, lo, hi, &out);
-  return out;
+  AppendChildrenInRange(*area, lo, hi, out);
 }
 
 std::vector<xml::Node*> RuidAxes::Descendants(const Ruid2Id& id) const {
   std::vector<xml::Node*> out;
-  // Phase 1: within-area walk by repeated rchildren; collect the globals of
-  // the child areas rooted at descendants found along the way.
-  std::vector<BigUint> subtree_roots;
-  std::vector<Ruid2Id> queue;
+  // Phase 1: within-area walk by repeated rchildren, with `out` as the
+  // queue; collect the areas rooted at descendants found along the way.
+  std::vector<size_t> subtree_areas;
+  auto collect_area = [&](const BigUint& global) {
+    auto it = area_index_.find(global);
+    if (it != area_index_.end()) subtree_areas.push_back(it->second);
+  };
   if (id.is_area_root) {
-    subtree_roots.push_back(id.global);
+    collect_area(id.global);
   } else {
-    queue.push_back(id);
+    AppendChildren(id, &out);
   }
-  while (!queue.empty()) {
-    Ruid2Id cur = std::move(queue.back());
-    queue.pop_back();
-    for (xml::Node* child : Children(cur)) {
-      out.push_back(child);
-      const Ruid2Id& child_id = scheme_->label(child);
-      if (child_id.is_area_root) {
-        subtree_roots.push_back(child_id.global);
-      } else {
-        queue.push_back(child_id);
-      }
+  for (size_t next = 0; next < out.size(); ++next) {
+    const Ruid2Id& child_id = scheme_->label(out[next]);
+    if (child_id.is_area_root) {
+      collect_area(child_id.global);
+    } else {
+      AppendChildren(child_id, &out);
     }
   }
-  // Phase 2: swallow whole every area whose root is a frame descendant-or-
-  // self of a collected area root (their members are descendants by
-  // construction).
-  if (!subtree_roots.empty()) {
-    for (const AreaMembers& am : area_members_) {
-      if (am.by_local.empty()) continue;
-      bool in_subtree = false;
-      for (const BigUint& theta : subtree_roots) {
-        if (am.global == theta ||
-            UidIsAncestor(theta, am.global, scheme_->kappa())) {
-          in_subtree = true;
-          break;
-        }
-      }
-      if (in_subtree) {
-        // id itself is a member of its *upper* area, never of these
-        // subtree areas, so no self-exclusion is needed; deeper area roots
-        // appear exactly once, as members of their upper area.
-        for (const auto& [local, node] : am.by_local) {
-          out.push_back(node);
-        }
-      }
-    }
+  // Phase 2: swallow whole every area in the frame subtree of a collected
+  // area root (their members are descendants by construction). id itself
+  // is a member of its *upper* area, never of these areas, so no
+  // self-exclusion is needed; deeper area roots appear exactly once, as
+  // members of their upper area.
+  while (!subtree_areas.empty()) {
+    const AreaMembers& area = area_members_[subtree_areas.back()];
+    subtree_areas.pop_back();
+    for (const auto& [local, node] : area.by_local) out.push_back(node);
+    subtree_areas.insert(subtree_areas.end(), area.frame_children.begin(),
+                         area.frame_children.end());
   }
   return out;
 }

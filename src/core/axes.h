@@ -10,6 +10,8 @@
 #ifndef RUIDX_CORE_AXES_H_
 #define RUIDX_CORE_AXES_H_
 
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/ruid2.h"
@@ -19,12 +21,26 @@ namespace core {
 
 class RuidAxes {
  public:
+  /// PreorderRank of a node the scheme has not labeled.
+  static constexpr uint32_t kUnranked = std::numeric_limits<uint32_t>::max();
+
   /// The scheme must outlive this object. Call Refresh() after structural
-  /// updates to rebuild the per-area member index.
+  /// updates to rebuild the per-area member index and the order key.
   explicit RuidAxes(const Ruid2Scheme* scheme);
 
-  /// Rebuilds the area -> members index from the scheme's current labels.
+  /// Rebuilds the area -> members index, the frame-child lists and the
+  /// order key from the scheme's current labels.
   void Refresh();
+
+  // --- document order -------------------------------------------------------
+
+  /// The order key: a labeled node's preorder rank (the main root is 0), as
+  /// of the last Refresh(). Comparing two ranks compares document positions,
+  /// so a result set sorts in one pass instead of one CompareIds per pair.
+  /// kUnranked for nodes the scheme did not label.
+  uint32_t PreorderRank(const xml::Node* n) const {
+    return n->serial() < rank_.size() ? rank_[n->serial()] : kUnranked;
+  }
 
   // --- parent / ancestor ----------------------------------------------------
 
@@ -47,8 +63,9 @@ class RuidAxes {
   std::vector<xml::Node*> Children(const Ruid2Id& id) const;
 
   /// rdescendant() via the frame (Sec. 3.5): descendants inside the node's
-  /// own area are found with repeated rchildren; every area whose root is a
-  /// frame descendant is then swallowed whole.
+  /// own area are found with repeated rchildren; every area in the frame
+  /// subtree of an area root met on the way is then swallowed whole. The
+  /// cost follows the answer size: no other area is looked at.
   std::vector<xml::Node*> Descendants(const Ruid2Id& id) const;
 
   // --- siblings ---------------------------------------------------------------
@@ -79,9 +96,16 @@ class RuidAxes {
     /// storage order "sorted first by the global index, and then by local
     /// index" (Sec. 2.1). Child sets are contiguous local ranges here.
     std::vector<std::pair<BigUint, xml::Node*>> by_local;
+    /// Indices of the areas whose roots are this area's frame children.
+    std::vector<uint32_t> frame_children;
   };
 
+  /// Fills rank_ by one rchildren walk from the main root over the member
+  /// lists (Refresh's last step).
+  void RankInPreorder(xml::Node* main_root);
   const AreaMembers* FindArea(const BigUint& global) const;
+  /// Appends the real children of `id` in document order (rchildren).
+  void AppendChildren(const Ruid2Id& id, std::vector<xml::Node*>* out) const;
   /// Real children via a local-index range search in the sorted member
   /// list: O(log area + result), the Sec. 4 storage-order optimization.
   void AppendChildrenInRange(const AreaMembers& area, const BigUint& lo,
@@ -91,6 +115,8 @@ class RuidAxes {
   const Ruid2Scheme* scheme_;
   std::vector<AreaMembers> area_members_;  // indexed by area index
   std::unordered_map<BigUint, size_t, BigUintHash> area_index_;
+  /// serial -> preorder rank (kUnranked for unlabeled serials).
+  std::vector<uint32_t> rank_;
 };
 
 }  // namespace core

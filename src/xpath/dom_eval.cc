@@ -120,7 +120,7 @@ void DomEvaluator::SortDocumentOrder(std::vector<xml::Node*>* nodes) {
 
 Result<std::vector<xml::Node*>> DomEvaluator::Evaluate(
     const LocationPath& path, xml::Node* context) {
-  if (context == nullptr) context = doc_->document_node();
+  if (context == nullptr || path.absolute) context = doc_->document_node();
   std::vector<xml::Node*> current{context};
   for (const Step& step : path.steps) {
     std::vector<xml::Node*> next;

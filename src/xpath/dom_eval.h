@@ -20,8 +20,8 @@ class DomEvaluator {
   explicit DomEvaluator(xml::Document* doc) : doc_(doc) {}
 
   /// Evaluates `path` with `context` as the context node (defaults to the
-  /// document node, which is what absolute paths expect). The result is in
-  /// document order without duplicates.
+  /// document node; an absolute path always starts there). The result is
+  /// in document order without duplicates.
   Result<std::vector<xml::Node*>> Evaluate(const LocationPath& path,
                                            xml::Node* context = nullptr);
 

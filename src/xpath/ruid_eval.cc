@@ -87,8 +87,8 @@ std::vector<xml::Node*> RuidEvaluator::GenerateAxis(xml::Node* n, Axis axis) {
       }
       break;
     }
-    // Ancestor/ordering axes below resolve through Ruid2Scheme::Ancestors /
-    // CompareIds, which serve the frame tail of each chain from the scheme's
+    // The ancestor axes below resolve through Ruid2Scheme::Ancestors, which
+    // serves the frame tail of each chain from the scheme's
     // AncestorPathCache (one memoized chain per area).
     case Axis::kAncestor:
       out = axes_.Ancestors(id);
@@ -113,11 +113,8 @@ std::vector<xml::Node*> RuidEvaluator::GenerateAxis(xml::Node* n, Axis axis) {
       out = axes_.Preceding(id);
       // rpreceding returns area-bulk order; reverse axes expect
       // nearest-first, which positional predicates rely on.
-      std::sort(out.begin(), out.end(),
-                [&](xml::Node* a, xml::Node* b) {
-                  return scheme_->CompareIds(scheme_->label(a),
-                                             scheme_->label(b)) > 0;
-                });
+      SortDocumentOrder(&out);
+      std::reverse(out.begin(), out.end());
       break;
   }
   ids_generated_ += out.size();
@@ -240,47 +237,52 @@ std::vector<xml::Node*> RuidEvaluator::EvalStepViaIndex(
   const std::vector<xml::Node*>& candidates =
       name_index_->Lookup(step.test.name);
   ids_generated_ += candidates.size();
-  std::vector<xml::Node*> out;
-  for (xml::Node* x : candidates) {
+  // Every tree node descends from the document node: with it in the
+  // context, a descendant step keeps every candidate, no arithmetic needed.
+  bool from_document = false;
+  if (step.axis == Axis::kDescendant || step.axis == Axis::kDescendantOrSelf) {
+    for (xml::Node* n : context) from_document |= n->is_document();
+  }
+  auto on_axis = [&](xml::Node* x) {
     const core::Ruid2Id& xid = scheme_->label(x);
-    bool on_axis = false;
+    uint32_t xrank = axes_.PreorderRank(x);
     for (xml::Node* n : context) {
-      if (n->is_document()) {
-        // Every tree node descends from the document node.
-        on_axis = step.axis == Axis::kDescendant ||
-                  step.axis == Axis::kDescendantOrSelf;
-        if (on_axis) break;
-        continue;
-      }
-      if (n->is_attribute()) continue;  // handled by the navigate path
+      // The document node is on none of these axes but the descendant
+      // ones; attribute contexts are handled by the navigate path.
+      if (n->is_document() || n->is_attribute()) continue;
       const core::Ruid2Id& cid = scheme_->label(n);
+      bool hit = false;
       switch (step.axis) {
         case Axis::kDescendant:
-          on_axis = scheme_->IsAncestorId(cid, xid);
+          hit = scheme_->IsAncestorId(cid, xid);
           break;
         case Axis::kDescendantOrSelf:
-          on_axis = xid == cid || scheme_->IsAncestorId(cid, xid);
+          hit = xid == cid || scheme_->IsAncestorId(cid, xid);
           break;
         case Axis::kAncestor:
-          on_axis = scheme_->IsAncestorId(xid, cid);
+          hit = scheme_->IsAncestorId(xid, cid);
           break;
         case Axis::kAncestorOrSelf:
-          on_axis = xid == cid || scheme_->IsAncestorId(xid, cid);
+          hit = xid == cid || scheme_->IsAncestorId(xid, cid);
           break;
         case Axis::kPreceding:
-          on_axis = scheme_->CompareIds(xid, cid) < 0 &&
-                    !scheme_->IsAncestorId(xid, cid);
+          hit = xrank < axes_.PreorderRank(n) &&
+                !scheme_->IsAncestorId(xid, cid);
           break;
         case Axis::kFollowing:
-          on_axis = scheme_->CompareIds(xid, cid) > 0 &&
-                    !scheme_->IsAncestorId(cid, xid);
+          hit = xrank > axes_.PreorderRank(n) &&
+                !scheme_->IsAncestorId(cid, xid);
           break;
         default:
           break;
       }
-      if (on_axis) break;
+      if (hit) return true;
     }
-    if (!on_axis) continue;
+    return false;
+  };
+  std::vector<xml::Node*> out;
+  for (xml::Node* x : candidates) {
+    if (!from_document && !on_axis(x)) continue;
     bool passes = true;
     for (const Predicate& p : step.predicates) {
       if (!MatchesPredicate(x, p)) {
@@ -291,6 +293,51 @@ std::vector<xml::Node*> RuidEvaluator::EvalStepViaIndex(
     if (passes) out.push_back(x);
   }
   return out;
+}
+
+bool RuidEvaluator::TryChildrenGroupedByParent(
+    const Step& dos, const Step& child, const std::vector<xml::Node*>& context,
+    std::vector<xml::Node*>* out) {
+  if (name_index_ == nullptr) return false;
+  if (context.size() != 1 || !context[0]->is_document()) return false;
+  if (dos.axis != Axis::kDescendantOrSelf ||
+      dos.test.kind != NodeTestKind::kAnyNode || !dos.predicates.empty()) {
+    return false;
+  }
+  if (child.axis != Axis::kChild || child.test.kind != NodeTestKind::kName) {
+    return false;
+  }
+  // Every node of the document is on descendant-or-self of the document
+  // node, so each t posting is a child of some context node: its rparent
+  // names its group. The main root has no rparent; it is the document
+  // node's child.
+  const std::vector<xml::Node*>& postings =
+      name_index_->Lookup(child.test.name);
+  ids_generated_ += postings.size();
+  std::vector<std::pair<uint64_t, xml::Node*>> by_parent;
+  by_parent.reserve(postings.size());
+  for (xml::Node* x : postings) {
+    auto parent = scheme_->Parent(scheme_->label(x));
+    const xml::Node* p =
+        parent.ok() ? scheme_->NodeById(*parent) : doc_->document_node();
+    by_parent.emplace_back(OrderKey(p), x);
+  }
+  // Postings arrive in document order and the sort is stable, so each
+  // group lists one parent's t children in axis order.
+  std::stable_sort(
+      by_parent.begin(), by_parent.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (size_t begin = 0, end = 0; begin < by_parent.size(); begin = end) {
+    std::vector<xml::Node*> group;
+    for (end = begin; end < by_parent.size() &&
+                      by_parent[end].first == by_parent[begin].first;
+         ++end) {
+      group.push_back(by_parent[end].second);
+    }
+    group = ApplyPredicates(std::move(group), child.predicates);
+    out->insert(out->end(), group.begin(), group.end());
+  }
+  return true;
 }
 
 namespace {
@@ -328,7 +375,7 @@ std::vector<Step> FuseDescendantSteps(const std::vector<Step>& steps) {
 
 Result<std::vector<xml::Node*>> RuidEvaluator::Evaluate(
     const LocationPath& path, xml::Node* context) {
-  if (context == nullptr) context = doc_->document_node();
+  if (context == nullptr || path.absolute) context = doc_->document_node();
   std::vector<Step> steps = FuseDescendantSteps(path.steps);
   if (path.absolute) {
     std::vector<xml::Node*> chain_result;
@@ -339,13 +386,18 @@ Result<std::vector<xml::Node*>> RuidEvaluator::Evaluate(
       return chain_result;  // candidates arrive in document order
     }
   }
+  // `current` is a duplicate-free document-order set after every step.
   std::vector<xml::Node*> current{context};
-  // True while `current` is a duplicate-free document-order set: index
-  // posting lists arrive that way, so a path whose last executed step was
-  // index-evaluated skips the final identifier sort — for an unselective
-  // `//name` the sort would otherwise cost more than the step itself.
-  bool document_ordered = false;
-  for (const Step& step : steps) {
+  for (size_t i = 0; i < steps.size() && !current.empty(); ++i) {
+    const Step& step = steps[i];
+    std::vector<xml::Node*> next;
+    if (i + 1 < steps.size() &&
+        TryChildrenGroupedByParent(step, steps[i + 1], current, &next)) {
+      ++i;  // the child step is answered too
+      SortDocumentOrder(&next);
+      current = std::move(next);
+      continue;
+    }
     if (StepUsesIndex(step, current)) {
       // Attribute context nodes cannot be skipped silently on ancestor
       // axes; fall back when any are present.
@@ -354,30 +406,23 @@ Result<std::vector<xml::Node*>> RuidEvaluator::Evaluate(
         has_attribute_context |= n->is_attribute();
       }
       if (!has_attribute_context) {
+        // Postings arrive in document order, and the filter keeps it.
         current = EvalStepViaIndex(current, step);
-        document_ordered = true;
-        if (current.empty()) break;
         continue;
       }
     }
-    document_ordered = false;
-    // Following axis results come in area-bulk order too; positional
-    // predicates need axis order, so sort when one is present.
+    // Following and descendant axis results come in area-bulk order;
+    // positional predicates need axis order, so sort when one is present.
     bool needs_axis_order = false;
     for (const Predicate& p : step.predicates) {
       if (p.kind == Predicate::Kind::kPosition) needs_axis_order = true;
     }
-    std::vector<xml::Node*> next;
     for (xml::Node* n : current) {
       std::vector<xml::Node*> axis_nodes = GenerateAxis(n, step.axis);
       if (needs_axis_order &&
           (step.axis == Axis::kFollowing || step.axis == Axis::kDescendant ||
            step.axis == Axis::kDescendantOrSelf)) {
-        std::sort(axis_nodes.begin(), axis_nodes.end(),
-                  [&](xml::Node* a, xml::Node* b) {
-                    return scheme_->CompareIds(scheme_->label(a),
-                                               scheme_->label(b)) < 0;
-                  });
+        SortDocumentOrder(&axis_nodes);
       }
       std::vector<xml::Node*> tested;
       tested.reserve(axis_nodes.size());
@@ -387,42 +432,48 @@ Result<std::vector<xml::Node*>> RuidEvaluator::Evaluate(
       tested = ApplyPredicates(std::move(tested), step.predicates);
       next.insert(next.end(), tested.begin(), tested.end());
     }
-    current = DedupNodes(std::move(next));
-    if (current.empty()) break;
+    SortDocumentOrder(&next);
+    current = std::move(next);
   }
-  if (!document_ordered) SortDocumentOrder(&current);
   return current;
 }
 
+uint64_t RuidEvaluator::OrderKey(const xml::Node* n) const {
+  // High word: the preorder rank of the node or of an attribute's owner.
+  // Low word: 0 for the document node, 1 for a labeled node, 2 + i for its
+  // i-th attribute.
+  if (n->is_document()) return 0;
+  if (n->is_attribute()) {
+    const xml::Node* owner = n->parent();
+    const std::vector<xml::Node*>& attributes = owner->attributes();
+    auto i = static_cast<uint64_t>(
+        std::find(attributes.begin(), attributes.end(), n) -
+        attributes.begin());
+    return (uint64_t{axes_.PreorderRank(owner)} << 32) | (2 + i);
+  }
+  return (uint64_t{axes_.PreorderRank(n)} << 32) | 1;
+}
+
 void RuidEvaluator::SortDocumentOrder(std::vector<xml::Node*>* nodes) const {
-  // Document order by identifier comparison; attributes order just after
-  // their owner element, in declaration order.
-  auto order_key = [&](const xml::Node* n) -> const xml::Node* {
-    return n->is_attribute() ? n->parent() : n;
-  };
-  std::sort(nodes->begin(), nodes->end(),
-            [&](xml::Node* a, xml::Node* b) {
-              const xml::Node* ka = order_key(a);
-              const xml::Node* kb = order_key(b);
-              if (ka != kb) {
-                if (ka->is_document()) return true;
-                if (kb->is_document()) return false;
-                int c = scheme_->CompareIds(scheme_->label(ka),
-                                            scheme_->label(kb));
-                if (c != 0) return c < 0;
-              }
-              if (a->is_attribute() != b->is_attribute()) {
-                return !a->is_attribute();
-              }
-              return a->serial() < b->serial();
-            });
+  if (nodes->size() < 2) return;
+  std::vector<std::pair<uint64_t, xml::Node*>> keyed;
+  keyed.reserve(nodes->size());
+  for (xml::Node* n : *nodes) keyed.emplace_back(OrderKey(n), n);
+  // Serial breaks ties between nodes the scheme never ranked, so copies of
+  // one node always end up adjacent.
+  std::sort(keyed.begin(), keyed.end(), [](const auto& a, const auto& b) {
+    if (a.first != b.first) return a.first < b.first;
+    return a.second->serial() < b.second->serial();
+  });
+  nodes->clear();
+  for (const auto& [key, n] : keyed) {
+    if (nodes->empty() || nodes->back() != n) nodes->push_back(n);
+  }
 }
 
 Result<std::vector<xml::Node*>> RuidEvaluator::Evaluate(const UnionExpr& expr,
                                                         xml::Node* context) {
-  // A single-path "union" is already duplicate-free and document-ordered;
-  // re-sorting it would throw away the ordered-result bookkeeping the
-  // per-path evaluation just did.
+  // A single-path "union" is already duplicate-free and document-ordered.
   if (expr.paths.size() == 1) return Evaluate(expr.paths[0], context);
   std::vector<xml::Node*> merged;
   for (const LocationPath& path : expr.paths) {
@@ -430,7 +481,6 @@ Result<std::vector<xml::Node*>> RuidEvaluator::Evaluate(const UnionExpr& expr,
                            Evaluate(path, context));
     merged.insert(merged.end(), part.begin(), part.end());
   }
-  merged = DedupNodes(std::move(merged));
   SortDocumentOrder(&merged);
   return merged;
 }

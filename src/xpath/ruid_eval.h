@@ -28,7 +28,8 @@ class RuidEvaluator {
   RuidEvaluator(xml::Document* doc, const core::Ruid2Scheme* scheme);
 
   /// Evaluates `path` against the context node (defaults to the document
-  /// node). Result in document order (by identifier comparison), deduped.
+  /// node; an absolute path always starts there). Result in document order
+  /// (by the axes' order key), deduped.
   Result<std::vector<xml::Node*>> Evaluate(const LocationPath& path,
                                            xml::Node* context = nullptr);
 
@@ -40,7 +41,7 @@ class RuidEvaluator {
   Result<std::vector<xml::Node*>> Evaluate(std::string_view path,
                                            xml::Node* context = nullptr);
 
-  /// Rebuilds the axis index after a structural update.
+  /// Rebuilds the axis index and the order key after a structural update.
   void Refresh() { axes_.Refresh(); }
 
   /// Enables the Sec. 3.5 "first approach" for selective steps: when a step
@@ -57,7 +58,8 @@ class RuidEvaluator {
   /// fresh via PathIndex::OnUpdate. Pass nullptr to disable.
   void SetPathIndex(const PathIndex* index) { path_index_ = index; }
 
-  /// Identifiers materialized while generating axes (work metric).
+  /// Identifiers materialized while generating axes, postings read by the
+  /// index routes included (work metric).
   uint64_t ids_generated() const { return ids_generated_; }
   void ResetCounters() { ids_generated_ = 0; }
 
@@ -94,7 +96,23 @@ class RuidEvaluator {
   std::vector<xml::Node*> EvalStepViaIndex(
       const std::vector<xml::Node*>& context, const Step& step);
 
-  /// Sorts into document order by identifier comparison.
+  /// The `//t[k]` shape: when `context` is the document node, `dos` is
+  /// descendant-or-self::node() and `child` a name-tested child step (left
+  /// unfused only when it has a positional predicate), answers both steps
+  /// from the postings of t grouped by rparent: each group is one parent's
+  /// t children in document order, and the predicates run once per group.
+  /// Returns true and fills *out (in no particular order) when the rewrite
+  /// applies.
+  bool TryChildrenGroupedByParent(const Step& dos, const Step& child,
+                                  const std::vector<xml::Node*>& context,
+                                  std::vector<xml::Node*>* out);
+
+  /// Document-order sort key: the document node first, then labeled nodes
+  /// by preorder rank, each attribute right after its owner element in
+  /// declaration order.
+  uint64_t OrderKey(const xml::Node* n) const;
+
+  /// Sorts into document order by the order key and drops duplicates.
   void SortDocumentOrder(std::vector<xml::Node*>* nodes) const;
 
   xml::Document* doc_;

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "testutil.h"
+#include "util/random.h"
 #include "xml/generator.h"
 
 namespace ruidx {
@@ -155,12 +159,154 @@ TEST_F(AxesTest, RefreshAfterUpdate) {
   EXPECT_EQ(kids[0]->name(), "fresh");
 }
 
+// --- Order key and rdescendant, across topologies ---------------------------
+
+/// Every node roots its own area, so on the depth-75 deep tree the frame
+/// is the tree itself and frame globals pass 2^64 (the band of
+/// PackedCoverageTest).
+PartitionOptions TinyAreas() {
+  PartitionOptions options;
+  options.max_area_nodes = 2;
+  options.max_area_depth = 1;
+  return options;
+}
+
+std::unique_ptr<xml::Document> MakePropertyDoc(const std::string& name) {
+  if (name == "xmark") {
+    xml::XmarkConfig config;
+    config.items = 24;
+    config.people = 15;
+    config.open_auctions = 10;
+    config.closed_auctions = 6;
+    config.categories = 5;
+    return xml::GenerateXmarkLike(config);
+  }
+  if (name == "dblp") return xml::GenerateDblpLike(25);
+  if (name == "deep") {
+    xml::DeepTreeConfig config;
+    config.depth = 75;
+    config.siblings_per_level = 2;
+    return xml::GenerateDeepTree(config);
+  }
+  xml::RandomTreeConfig config;
+  config.node_budget = 300;
+  config.max_fanout = 6;
+  config.seed = 91;
+  config.text_probability = 0.2;
+  return xml::GenerateRandomTree(config);
+}
+
+class AxesPropertyTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  void SetUp() override {
+    doc_ = MakePropertyDoc(GetParam());
+    scheme_ = std::make_unique<Ruid2Scheme>(
+        GetParam() == "deep" ? TinyAreas() : SmallAreas());
+    scheme_->Build(doc_->root());
+    axes_ = std::make_unique<RuidAxes>(scheme_.get());
+    if (GetParam() == "deep") {
+      uint64_t past_64_bits = 0;
+      scheme_->ForEachLabeled([&](const xml::Node*, const Ruid2Id& id) {
+        if (!id.global.FitsUint64()) ++past_64_bits;
+      });
+      ASSERT_GT(past_64_bits, 0u) << "the deep band no longer crosses 2^64";
+    }
+  }
+
+  /// Sorting every labeled node by its key yields DOM preorder, and the
+  /// sign of a key comparison is the sign of CompareIds.
+  void ExpectOrderKeyIsDocumentOrder(uint64_t seed) {
+    std::vector<xml::Node*> preorder = testing::AllNodes(doc_->root());
+    std::vector<xml::Node*> by_key = preorder;
+    Rng rng(seed);
+    for (size_t i = by_key.size(); i > 1; --i) {
+      std::swap(by_key[i - 1], by_key[rng.NextBounded(i)]);
+    }
+    std::sort(by_key.begin(), by_key.end(),
+              [&](const xml::Node* a, const xml::Node* b) {
+                return axes_->PreorderRank(a) < axes_->PreorderRank(b);
+              });
+    EXPECT_EQ(by_key, preorder);
+    for (int i = 0; i < 2000; ++i) {
+      xml::Node* a = preorder[rng.NextBounded(preorder.size())];
+      xml::Node* b = preorder[rng.NextBounded(preorder.size())];
+      uint32_t ra = axes_->PreorderRank(a);
+      uint32_t rb = axes_->PreorderRank(b);
+      int by_rank = ra < rb ? -1 : (ra > rb ? 1 : 0);
+      int by_ids = scheme_->CompareIds(scheme_->label(a), scheme_->label(b));
+      EXPECT_EQ(by_rank, by_ids < 0 ? -1 : (by_ids > 0 ? 1 : 0))
+          << scheme_->label(a).ToString() << " vs "
+          << scheme_->label(b).ToString();
+    }
+  }
+
+  /// rdescendant of every node, area roots included, is its DOM subtree.
+  void ExpectDescendantsMatchDom() {
+    for (xml::Node* n : testing::AllNodes(doc_->root())) {
+      auto got =
+          testing::SortedBySerial(axes_->Descendants(scheme_->label(n)));
+      auto expected = testing::SortedBySerial(testing::DomDescendants(n));
+      EXPECT_EQ(got, expected) << scheme_->label(n).ToString();
+    }
+  }
+
+  std::unique_ptr<xml::Document> doc_;
+  std::unique_ptr<Ruid2Scheme> scheme_;
+  std::unique_ptr<RuidAxes> axes_;
+};
+
+TEST_P(AxesPropertyTest, OrderKeyIsDocumentOrder) {
+  ExpectOrderKeyIsDocumentOrder(1);
+}
+
+TEST_P(AxesPropertyTest, OrderKeyAndDescendantsHoldAfterUpdates) {
+  Rng rng(17);
+  for (int round = 0; round < 12; ++round) {
+    std::vector<xml::Node*> nodes = testing::AllNodes(doc_->root());
+    if (round % 3 != 2) {
+      xml::Node* parent = nodes[rng.NextBounded(nodes.size())];
+      if (!parent->is_element()) parent = doc_->root();
+      xml::Node* fresh = doc_->CreateElement("fresh");
+      ASSERT_TRUE(
+          doc_->AppendChild(fresh, doc_->CreateElement("inner")).ok());
+      auto report = scheme_->InsertAndRelabel(
+          doc_.get(), parent, rng.NextBounded(parent->fanout() + 1), fresh);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+    } else {
+      // A small subtree, so the document keeps most of its shape.
+      xml::Node* victim = nullptr;
+      for (int tries = 0; tries < 50 && victim == nullptr; ++tries) {
+        xml::Node* n = nodes[1 + rng.NextBounded(nodes.size() - 1)];
+        if (testing::DomDescendants(n).size() < 20) victim = n;
+      }
+      ASSERT_NE(victim, nullptr);
+      auto report = scheme_->RemoveAndRelabel(doc_.get(), victim);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+    }
+    axes_->Refresh();
+    ExpectOrderKeyIsDocumentOrder(100 + static_cast<uint64_t>(round));
+  }
+  // Removals dropped areas, so the frame-child lists were rebuilt too.
+  ExpectDescendantsMatchDom();
+}
+
+TEST_P(AxesPropertyTest, DescendantsOfEveryNodeMatchDom) {
+  ExpectDescendantsMatchDom();
+}
+
+INSTANTIATE_TEST_SUITE_P(Topologies, AxesPropertyTest,
+                         ::testing::Values("xmark", "dblp", "random", "deep"),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           return info.param;
+                         });
+
 TEST(AxesEdgeTest, SingleNodeDocument) {
   auto doc = testing::MustParse("<only/>");
   Ruid2Scheme scheme;
   scheme.Build(doc->root());
   RuidAxes axes(&scheme);
   Ruid2Id root = scheme.label(doc->root());
+  EXPECT_EQ(axes.PreorderRank(doc->root()), 0u);
   EXPECT_TRUE(axes.Children(root).empty());
   EXPECT_TRUE(axes.Descendants(root).empty());
   EXPECT_TRUE(axes.Ancestors(root).empty());

@@ -155,6 +155,23 @@ TEST_F(DomEvalTest, RelativeFromContextNode) {
   EXPECT_EQ(r->size(), 3u);
 }
 
+TEST_F(DomEvalTest, AbsolutePathStartsAtDocumentNode) {
+  // A context node only anchors relative paths.
+  auto persons = eval_->Evaluate("/site/people/person");
+  ASSERT_TRUE(persons.ok());
+  ASSERT_EQ(persons->size(), 3u);
+  xml::Node* person = (*persons)[0];
+  auto site = eval_->Evaluate("/site", person);
+  ASSERT_TRUE(site.ok());
+  EXPECT_EQ(*site, std::vector<xml::Node*>{doc_->root()});
+  auto all = eval_->Evaluate("//person", person);
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(*all, *persons);
+  auto top = eval_->Evaluate("/*", person);
+  ASSERT_TRUE(top.ok());
+  EXPECT_EQ(*top, std::vector<xml::Node*>{doc_->root()});
+}
+
 TEST_F(DomEvalTest, VisitCounterAdvances) {
   eval_->ResetCounters();
   ASSERT_TRUE(eval_->Evaluate("//person").ok());

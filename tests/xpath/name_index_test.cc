@@ -86,11 +86,26 @@ TEST_F(IndexedEvalTest, IndexedStepsMatchBothBaselines) {
 }
 
 TEST_F(IndexedEvalTest, PositionalPredicatesFallBackCorrectly) {
-  // [2] forces the navigate path even with an index set.
+  // [2] counts per parent: the index answers //bidder[2] from the bidder
+  // postings grouped by rparent, one position count per group.
   auto via_dom = dom_eval_->Evaluate("//bidder[2]");
   auto via_index = indexed_eval_->Evaluate("//bidder[2]");
   ASSERT_TRUE(via_dom.ok() && via_index.ok());
   EXPECT_EQ(*via_index, *via_dom);
+}
+
+TEST_F(IndexedEvalTest, PositionalChildStepReadsOnlyPostings) {
+  // //bidder[1] reads the bidder postings once instead of expanding
+  // descendant-or-self of the whole document; /increase then navigates
+  // from the answers.
+  indexed_eval_->ResetCounters();
+  auto via_index = indexed_eval_->Evaluate("//bidder[1]/increase");
+  auto via_dom = dom_eval_->Evaluate("//bidder[1]/increase");
+  ASSERT_TRUE(via_index.ok() && via_dom.ok());
+  EXPECT_EQ(*via_index, *via_dom);
+  EXPECT_LE(indexed_eval_->ids_generated(),
+            index_->Lookup("bidder").size() +
+                index_->Lookup("increase").size());
 }
 
 TEST_F(IndexedEvalTest, IndexTouchesOnlyCandidates) {
