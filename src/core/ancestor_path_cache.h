@@ -74,6 +74,15 @@ class AncestorPathCache {
   bool AncestorsHybrid(const PackedRuid2Id& id, uint64_t kappa,
                        const KTable& k, std::vector<Ruid2Id>* out) const;
 
+  /// Appends the packed proper-ancestor chain of the root of area
+  /// `global`, nearest first, to *out — the frame part shared by every
+  /// identifier of that area — copying it under the cache lock. Returns
+  /// false when the area has no K row or its chain leaves the packed range
+  /// (a cached negative); the caller then falls back to BigUint.
+  bool AppendPackedAreaRootChain(uint128_t global, uint64_t kappa,
+                                 const KTable& k,
+                                 std::vector<PackedRuid2Id>* out) const;
+
   /// Proper-ancestor chain of the root of the area with global index
   /// `global`, nearest first. The pointer stays valid until the next
   /// Invalidate()/Clear() (entries are node-stable) — so this form is for
@@ -127,12 +136,6 @@ class AncestorPathCache {
   void AppendAreaRootChain(const BigUint& global, uint64_t kappa,
                            const KTable& k,
                            std::vector<Ruid2Id>* chain) const;
-
-  /// Packed twin of AppendAreaRootChain; returns the entry's `ok` flag
-  /// (false = cached negative, caller falls back to BigUint).
-  bool AppendPackedAreaRootChain(uint128_t global, uint64_t kappa,
-                                 const KTable& k,
-                                 std::vector<PackedRuid2Id>* out) const;
 
   /// Guards chains_, packed_chains_, and the counters; Ancestors() must be
   /// callable from concurrent readers (the bulk pipelines share one

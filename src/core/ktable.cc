@@ -74,7 +74,7 @@ void KTable::Upsert(KRow row) {
     it = rows_.insert(it, std::move(row));
   }
   SyncPacked(*it);
-  size_t i = static_cast<size_t>(it - rows_.begin());
+  [[maybe_unused]] size_t i = static_cast<size_t>(it - rows_.begin());
   RUIDX_DCHECK(i == 0 || rows_[i - 1].global < rows_[i].global,
                "K rows out of order after Upsert");
   RUIDX_DCHECK(i + 1 >= rows_.size() || rows_[i].global < rows_[i + 1].global,

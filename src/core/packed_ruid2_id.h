@@ -29,6 +29,7 @@
 #ifndef RUIDX_CORE_PACKED_RUID2_ID_H_
 #define RUIDX_CORE_PACKED_RUID2_ID_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <type_traits>
 #include <vector>
@@ -62,6 +63,23 @@ struct PackedRuid2Id {
 
 static_assert(std::is_trivially_copyable_v<PackedRuid2Id>);
 static_assert(sizeof(PackedRuid2Id) == 32);
+
+/// Hash over the three words of a packed identifier (splitmix64 finalizer),
+/// for the identifier-to-node indexes.
+struct PackedRuid2IdHash {
+  size_t operator()(const PackedRuid2Id& id) const {
+    const uint64_t hi = static_cast<uint64_t>(id.global >> 64);
+    uint64_t x = static_cast<uint64_t>(id.global) ^
+                 hi * 0x9E3779B97F4A7C15ULL ^
+                 id.local_bits * 0xC2B2AE3D27D4EB4FULL;
+    x ^= x >> 30;
+    x *= 0xBF58476D1CE4E5B9ULL;
+    x ^= x >> 27;
+    x *= 0x94D049BB133111EBULL;
+    x ^= x >> 31;
+    return static_cast<size_t>(x);
+  }
+};
 
 /// The packed main-root identifier (1, 1, true).
 inline PackedRuid2Id PackedRuid2RootId() {

@@ -35,26 +35,127 @@ uint32_t Ruid2Scheme::ExpandAreaOf(const xml::Node* n) const {
   return partition_.member_area.at(n->serial());
 }
 
-void Ruid2Scheme::SetLabel(xml::Node* n, Ruid2Id id, uint64_t* changed) {
-  auto it = labels_.find(n->serial());
-  if (it != labels_.end()) {
-    if (it->second == id) return;
-    if (changed != nullptr) ++*changed;
-    auto bit = by_id_.find(it->second);
-    if (bit != by_id_.end() && bit->second == n) by_id_.erase(bit);
-    it->second = id;
-  } else {
-    labels_.emplace(n->serial(), id);
+namespace {
+
+/// The identifier-index hash of a packed identifier: 32 bits, stored in
+/// the slot beside the serial.
+uint32_t SlotHash(const PackedRuid2Id& id) {
+  return static_cast<uint32_t>(PackedRuid2IdHash()(id) >> 32);
+}
+
+/// True iff `id` packs to `packed`.
+bool SameId(const Ruid2Id& id, const PackedRuid2Id& packed) {
+  return id.is_area_root == packed.is_area_root() && id.local.FitsUint64() &&
+         id.local.ToUint64() == packed.local() && id.global.FitsUint128() &&
+         id.global.ToUint128() == packed.global;
+}
+
+uint64_t MakeSlot(uint32_t hash, uint32_t serial) {
+  return (static_cast<uint64_t>(hash) << 32) | (uint64_t{serial} + 1);
+}
+uint32_t SlotSerial(uint64_t slot) {
+  return static_cast<uint32_t>(slot) - 1;
+}
+
+}  // namespace
+
+size_t Ruid2Scheme::ProbeSlot(const PackedRuid2Id& id, bool* found) const {
+  const size_t mask = id_slots_.size() - 1;
+  const uint32_t hash = SlotHash(id);
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const uint64_t slot = id_slots_[i];
+    *found = slot != 0;
+    if (!*found || (static_cast<uint32_t>(slot >> 32) == hash &&
+                    SameId(labels_[SlotSerial(slot)].id, id))) {
+      return i;
+    }
   }
-  by_id_[std::move(id)] = n;
+}
+
+void Ruid2Scheme::ResizeIdSlots(size_t count) {
+  // Load factor at most 3/4; rehashing needs only the stored hashes.
+  size_t capacity = 16;
+  while (capacity * 3 < count * 4) capacity *= 2;
+  std::vector<uint64_t> old = std::move(id_slots_);
+  id_slots_.assign(capacity, 0);
+  const size_t mask = capacity - 1;
+  for (uint64_t slot : old) {
+    if (slot == 0) continue;
+    size_t i = (slot >> 32) & mask;
+    while (id_slots_[i] != 0) i = (i + 1) & mask;
+    id_slots_[i] = slot;
+  }
+}
+
+void Ruid2Scheme::IndexLabel(uint32_t serial) {
+  const Ruid2Id& id = labels_[serial].id;
+  PackedRuid2Id packed;
+  if (!PackRuid2Id(id, &packed)) {
+    wide_ids_[id] = serial;
+    return;
+  }
+  if ((id_slot_count_ + 1) * 4 > id_slots_.size() * 3) {
+    ResizeIdSlots(id_slot_count_ + 1);
+  }
+  bool found;
+  size_t i = ProbeSlot(packed, &found);
+  if (!found) ++id_slot_count_;
+  id_slots_[i] = MakeSlot(SlotHash(packed), serial);
+}
+
+void Ruid2Scheme::UnindexLabel(uint32_t serial) {
+  const Ruid2Id& id = labels_[serial].id;
+  PackedRuid2Id packed;
+  if (!PackRuid2Id(id, &packed)) {
+    auto it = wide_ids_.find(id);
+    if (it != wide_ids_.end() && it->second == serial) wide_ids_.erase(it);
+    return;
+  }
+  bool found;
+  size_t i = ProbeSlot(packed, &found);
+  if (!found || SlotSerial(id_slots_[i]) != serial) return;
+  // Backward-shift deletion: pull later entries of the probe run into the
+  // hole unless their home slot lies cyclically in (hole, entry].
+  const size_t mask = id_slots_.size() - 1;
+  for (size_t j = i;;) {
+    id_slots_[i] = 0;
+    for (;;) {
+      j = (j + 1) & mask;
+      if (id_slots_[j] == 0) {
+        --id_slot_count_;
+        return;
+      }
+      size_t home = (id_slots_[j] >> 32) & mask;
+      bool stays = i <= j ? (i < home && home <= j) : (i < home || home <= j);
+      if (!stays) break;
+    }
+    id_slots_[i] = id_slots_[j];
+    i = j;
+  }
+}
+
+void Ruid2Scheme::SetLabel(xml::Node* n, Ruid2Id id, uint64_t* changed) {
+  const uint32_t serial = n->serial();
+  if (serial >= labels_.size()) labels_.resize(serial + 1);
+  LabelSlot& slot = labels_[serial];
+  if (slot.node != nullptr) {
+    if (slot.id == id) return;
+    if (changed != nullptr) ++*changed;
+    UnindexLabel(serial);
+  } else {
+    slot.node = n;
+    ++label_count_;
+  }
+  slot.id = std::move(id);
+  IndexLabel(serial);
 }
 
 void Ruid2Scheme::DropLabel(xml::Node* n) {
-  auto it = labels_.find(n->serial());
-  if (it == labels_.end()) return;
-  auto bit = by_id_.find(it->second);
-  if (bit != by_id_.end() && bit->second == n) by_id_.erase(bit);
-  labels_.erase(it);
+  const uint32_t serial = n->serial();
+  if (serial >= labels_.size() || labels_[serial].node == nullptr) return;
+  UnindexLabel(serial);
+  labels_[serial] = LabelSlot{};
+  --label_count_;
 }
 
 Ruid2Scheme::AreaEnumeration Ruid2Scheme::EnumerateArea(
@@ -132,7 +233,7 @@ uint64_t Ruid2Scheme::ApplyEnumeration(const AreaEnumeration& e,
   area.member_count = e.member_count;
   // Every published label must still be uniquely indexed, and the K row the
   // enumeration wrote must reflect the fan-out it enumerated with.
-  RUIDX_DCHECK(labels_.size() == by_id_.size(),
+  RUIDX_DCHECK(label_count_ == id_slot_count_ + wide_ids_.size(),
                "label/index bijection broken by ApplyEnumeration");
   RUIDX_DCHECK(ktable_.Find(area_globals_[e.area_idx]) != nullptr &&
                    ktable_.Find(area_globals_[e.area_idx])->fanout == e.fanout,
@@ -150,8 +251,21 @@ void Ruid2Scheme::Build(xml::Node* root, util::ThreadPool* pool) {
   auto partition = PartitionTree(root, options_);
   assert(partition.ok() && "invalid partition options");
   partition_ = partition.MoveValueUnsafe();
+  // Size the label array and the identifier index once for the whole tree.
+  uint32_t serial_bound = 0;
+  size_t node_count = 0;
+  xml::PreorderTraverse(root, [&](xml::Node* n, int) {
+    serial_bound = std::max(serial_bound, n->serial() + 1);
+    ++node_count;
+    return true;
+  });
   labels_.clear();
-  by_id_.clear();
+  labels_.resize(serial_bound);
+  label_count_ = 0;
+  id_slots_.clear();
+  id_slot_count_ = 0;
+  ResizeIdSlots(node_count);
+  wide_ids_.clear();
   ktable_.Clear();
   area_by_global_.clear();
   area_globals_.assign(partition_.areas.size(), BigUint(0));
@@ -361,8 +475,24 @@ int Ruid2Scheme::CompareIds(const Ruid2Id& a, const Ruid2Id& b) const {
 }
 
 xml::Node* Ruid2Scheme::NodeById(const Ruid2Id& id) const {
-  auto it = by_id_.find(id);
-  return it == by_id_.end() ? nullptr : it->second;
+  PackedRuid2Id packed;
+  if (PackRuid2Id(id, &packed)) return NodeByPackedId(packed);
+  auto it = wide_ids_.find(id);
+  return it == wide_ids_.end() ? nullptr : labels_[it->second].node;
+}
+
+xml::Node* Ruid2Scheme::NodeByPackedId(const PackedRuid2Id& id) const {
+  if (id_slots_.empty()) return nullptr;  // never built
+  bool found;
+  size_t i = ProbeSlot(id, &found);
+  return found ? labels_[SlotSerial(id_slots_[i])].node : nullptr;
+}
+
+bool Ruid2Scheme::AreaRootAncestorsPacked(
+    uint128_t global, std::vector<PackedRuid2Id>* out) const {
+  out->clear();
+  return ancestor_cache_.AppendPackedAreaRootChain(global, kappa_, ktable_,
+                                                   out);
 }
 
 bool Ruid2Scheme::IsParent(const xml::Node* p, const xml::Node* c) const {
@@ -386,10 +516,10 @@ uint64_t Ruid2Scheme::LabelBits(const xml::Node* n) const {
 
 uint64_t Ruid2Scheme::TotalLabelBits() const {
   uint64_t total = 0;
-  for (const auto& [serial, id] : labels_) {
+  ForEachLabeled([&](const xml::Node*, const Ruid2Id& id) {
     total += static_cast<uint64_t>(id.global.BitWidth()) +
              static_cast<uint64_t>(id.local.BitWidth()) + 1;
-  }
+  });
   return total;
 }
 
@@ -404,7 +534,7 @@ Result<UpdateReport> Ruid2Scheme::InsertAndRelabel(xml::Document* doc,
   if (doc == nullptr || parent == nullptr || child == nullptr) {
     return Status::InvalidArgument("null argument");
   }
-  if (!labels_.contains(parent->serial())) {
+  if (!HasLabel(parent)) {
     return Status::InvalidArgument("parent is not labeled by this scheme");
   }
   RUIDX_RETURN_NOT_OK(doc->InsertChild(parent, pos, child));
@@ -421,12 +551,11 @@ Result<UpdateReport> Ruid2Scheme::InsertAndRelabel(xml::Document* doc,
   ancestor_cache_.OnUpdate(report);
   // The inserted subtree must have been labeled by the re-enumeration, and
   // rparent must invert the new edge immediately.
-  RUIDX_DCHECK(labels_.contains(child->serial()),
-               "inserted node left unlabeled");
+  RUIDX_DCHECK(HasLabel(child), "inserted node left unlabeled");
   RUIDX_DCHECK(
       [&] {
-        auto parent_id = Parent(labels_.at(child->serial()));
-        return parent_id.ok() && *parent_id == labels_.at(parent->serial());
+        auto parent_id = Parent(label(child));
+        return parent_id.ok() && *parent_id == label(parent);
       }(),
       "rparent does not invert the inserted edge");
   return report;
@@ -437,7 +566,7 @@ Result<UpdateReport> Ruid2Scheme::RemoveAndRelabel(xml::Document* doc,
   if (doc == nullptr || victim == nullptr) {
     return Status::InvalidArgument("null argument");
   }
-  if (!labels_.contains(victim->serial())) {
+  if (!HasLabel(victim)) {
     return Status::InvalidArgument("victim is not labeled by this scheme");
   }
   if (victim->parent() == nullptr || victim->parent()->is_document()) {
@@ -477,9 +606,8 @@ Result<UpdateReport> Ruid2Scheme::RemoveAndRelabel(xml::Document* doc,
   ancestor_cache_.OnUpdate(report);
   // Cascading deletion must leave no label behind and keep the index a
   // bijection; the victim's subtree was dropped above.
-  RUIDX_DCHECK(!labels_.contains(victim->serial()),
-               "removed node still labeled");
-  RUIDX_DCHECK(labels_.size() == by_id_.size(),
+  RUIDX_DCHECK(!HasLabel(victim), "removed node still labeled");
+  RUIDX_DCHECK(label_count_ == id_slot_count_ + wide_ids_.size(),
                "label/index bijection broken by RemoveAndRelabel");
   return report;
 }
@@ -492,12 +620,11 @@ Status Ruid2Scheme::Validate(xml::Node* root) const {
   xml::PreorderTraverse(root, [&](xml::Node* n, int) {
     if (!status.ok()) return false;
     ++node_count;
-    auto it = labels_.find(n->serial());
-    if (it == labels_.end()) {
+    if (!HasLabel(n)) {
       status = Status::Corruption("unlabeled node <" + n->name() + ">");
       return false;
     }
-    const Ruid2Id& id = it->second;
+    const Ruid2Id& id = label(n);
     if (NodeById(id) != n) {
       status = Status::Corruption("index does not map " + id.ToString() +
                                   " back to its node");
@@ -516,8 +643,7 @@ Status Ruid2Scheme::Validate(xml::Node* root) const {
                                   ": " + parent.status().ToString());
       return false;
     }
-    auto pit = labels_.find(n->parent()->serial());
-    if (pit == labels_.end() || !(*parent == pit->second)) {
+    if (!HasLabel(n->parent()) || !(*parent == label(n->parent()))) {
       status = Status::Corruption("rparent(" + id.ToString() +
                                   ") does not match the DOM parent");
       return false;
@@ -525,12 +651,12 @@ Status Ruid2Scheme::Validate(xml::Node* root) const {
     return true;
   });
   RUIDX_RETURN_NOT_OK(status);
-  if (node_count != labels_.size()) {
+  if (node_count != label_count_) {
     return Status::Corruption("label table holds " +
-                              std::to_string(labels_.size()) + " entries for " +
+                              std::to_string(label_count_) + " entries for " +
                               std::to_string(node_count) + " nodes");
   }
-  if (labels_.size() != by_id_.size()) {
+  if (label_count_ != id_slot_count_ + wide_ids_.size()) {
     return Status::Corruption("id index size mismatch");
   }
   // 2. K table and partition agreement.
@@ -548,7 +674,7 @@ Status Ruid2Scheme::Validate(xml::Node* root) const {
       return Status::Corruption("K fanout disagrees with partition for area " +
                                 area_globals_[i].ToDecimalString());
     }
-    const Ruid2Id& root_id = labels_.at(area.root->serial());
+    const Ruid2Id& root_id = label(area.root);
     if (row->root_local != root_id.local) {
       return Status::Corruption("K root_local stale for area " +
                                 area_globals_[i].ToDecimalString());
@@ -590,7 +716,7 @@ uint64_t Ruid2Scheme::RelabelAndCount(xml::Node* root) {
   };
   xml::PreorderTraverse(root, [&](xml::Node* n, int) {
     in_tree.insert(n->serial());
-    if (!labels_.contains(n->serial()) &&
+    if (!HasLabel(n) &&
         !partition_.member_area.contains(n->serial())) {
       // Preorder guarantees the parent was processed first, so its
       // membership is known by now.
@@ -604,11 +730,12 @@ uint64_t Ruid2Scheme::RelabelAndCount(xml::Node* root) {
 
   // Deletions.
   UpdateReport report;
-  std::vector<uint32_t> gone;
-  for (const auto& [serial, id] : labels_) {
-    if (!in_tree.contains(serial)) gone.push_back(serial);
-  }
-  for (uint32_t serial : gone) {
+  std::vector<xml::Node*> gone;
+  ForEachLabeled([&](xml::Node* n, const Ruid2Id&) {
+    if (!in_tree.contains(n->serial())) gone.push_back(n);
+  });
+  for (xml::Node* node : gone) {
+    const uint32_t serial = node->serial();
     auto mit = partition_.member_area.find(serial);
     if (mit != partition_.member_area.end()) {
       // The containing area must be re-enumerated if it survives.
@@ -635,15 +762,7 @@ uint64_t Ruid2Scheme::RelabelAndCount(xml::Node* root) {
       partition_.areas[dead].root = nullptr;
       partition_.rooted_area.erase(rit);
     }
-    auto lit = labels_.find(serial);
-    if (lit != labels_.end()) {
-      // DropLabel needs the node pointer; erase by value instead.
-      auto bit = by_id_.find(lit->second);
-      if (bit != by_id_.end() && bit->second->serial() == serial) {
-        by_id_.erase(bit);
-      }
-      labels_.erase(lit);
-    }
+    DropLabel(node);
   }
 
   uint64_t changed = 0;
@@ -654,7 +773,7 @@ uint64_t Ruid2Scheme::RelabelAndCount(xml::Node* root) {
   }
   report.relabeled = changed;
   ancestor_cache_.OnUpdate(report);
-  RUIDX_DCHECK(labels_.size() == by_id_.size(),
+  RUIDX_DCHECK(label_count_ == id_slot_count_ + wide_ids_.size(),
                "label/index bijection broken by RelabelAndCount");
   return changed;
 }

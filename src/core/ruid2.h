@@ -98,24 +98,39 @@ class Ruid2Scheme : public scheme::LabelingScheme {
   /// IsAncestorId. Exposed for statistics; invalidation is automatic.
   AncestorPathCache& ancestor_cache() const { return ancestor_cache_; }
 
+  /// The identifier of `n`, which must be labeled (HasLabel).
   const Ruid2Id& label(const xml::Node* n) const {
-    return labels_.at(n->serial());
+    return labels_.at(n->serial()).id;
   }
   bool HasLabel(const xml::Node* n) const {
-    return labels_.contains(n->serial());
+    return n->serial() < labels_.size() &&
+           labels_[n->serial()].node != nullptr;
   }
 
   /// The node carrying identifier `id`, or nullptr when `id` is virtual or
   /// unknown. (This is the in-memory stand-in for the paper's RDBMS index.)
   xml::Node* NodeById(const Ruid2Id& id) const;
 
-  /// Number of labeled nodes.
-  size_t label_count() const { return labels_.size(); }
+  /// NodeById for an identifier already in packed form — the posting keys
+  /// of the store joins decode straight to it.
+  xml::Node* NodeByPackedId(const PackedRuid2Id& id) const;
 
-  /// Calls fn(node, id) for every labeled node (iteration order unspecified).
+  /// The proper-ancestor chain of the root of area `global`, nearest first:
+  /// the frame part every identifier with that global index shares, served
+  /// from the ancestor-path cache. Returns false (with *out unspecified)
+  /// when the area has no K row or the chain leaves the packed range.
+  bool AreaRootAncestorsPacked(uint128_t global,
+                               std::vector<PackedRuid2Id>* out) const;
+
+  /// Number of labeled nodes.
+  size_t label_count() const { return label_count_; }
+
+  /// Calls fn(node, id) for every labeled node, in serial order.
   template <typename Fn>
   void ForEachLabeled(Fn&& fn) const {
-    for (const auto& [id, node] : by_id_) fn(node, id);
+    for (const LabelSlot& slot : labels_) {
+      if (slot.node != nullptr) fn(slot.node, slot.id);
+    }
   }
 
   /// Main-memory footprint of the global parameters (κ + table K), the data
@@ -161,7 +176,7 @@ class Ruid2Scheme : public scheme::LabelingScheme {
   };
   AreaEnumeration EnumerateArea(uint32_t area_idx) const;
 
-  /// The mutating half: publishes an enumeration into the label maps, the
+  /// The mutating half: publishes an enumeration into the label array, the
   /// partition, and table K. Must run serially (callers order by area
   /// index, which makes parallel builds deterministic). Returns the number
   /// of previously labeled nodes whose identifier changed.
@@ -179,12 +194,40 @@ class Ruid2Scheme : public scheme::LabelingScheme {
   void SetLabel(xml::Node* n, Ruid2Id id, uint64_t* changed);
   void DropLabel(xml::Node* n);
 
+  /// Points the identifier index at `serial` for labels_[serial].id (the
+  /// entry another serial held under that identifier is taken over).
+  void IndexLabel(uint32_t serial);
+  /// Removes labels_[serial].id from the identifier index if it still
+  /// points at `serial`. Must run before labels_[serial].id changes.
+  void UnindexLabel(uint32_t serial);
+  /// The slot of id_slots_ (non-empty) holding `id`, or the empty slot
+  /// that ends its probe run; *found tells which.
+  size_t ProbeSlot(const PackedRuid2Id& id, bool* found) const;
+  /// Rebuilds id_slots_ with room for `count` identifiers.
+  void ResizeIdSlots(size_t count);
+
+  /// One entry of the dense label array.
+  struct LabelSlot {
+    Ruid2Id id;
+    xml::Node* node = nullptr;  // nullptr: the serial carries no label
+  };
+
   PartitionOptions options_;
   Partition partition_;
   uint64_t kappa_ = 1;
   KTable ktable_;
-  std::unordered_map<uint32_t, Ruid2Id> labels_;  // serial -> id
-  std::unordered_map<Ruid2Id, xml::Node*, Ruid2IdHash> by_id_;
+  /// Node serial -> label. Serials are dense per document, so Build sizes
+  /// the array once; insertions extend it for the serials they create.
+  std::vector<LabelSlot> labels_;
+  size_t label_count_ = 0;
+  /// Packed identifier -> serial: open addressing with linear probing. A
+  /// slot is (32-bit identifier hash << 32) | (serial + 1), 0 when empty;
+  /// the identifier itself is read back from labels_, so a slot is one
+  /// word. The hash's low bits pick the home slot.
+  std::vector<uint64_t> id_slots_;
+  size_t id_slot_count_ = 0;
+  /// Identifiers outside the packed range -> serial.
+  std::unordered_map<Ruid2Id, uint32_t, Ruid2IdHash> wide_ids_;
   /// global index -> area index, for update paths that need the area.
   std::unordered_map<BigUint, uint32_t, BigUintHash> area_by_global_;
   /// area index -> global index (inverse of area_by_global_).

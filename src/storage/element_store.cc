@@ -664,6 +664,11 @@ Status ElementStore::ScanPathTerm(
   return ScanPathTermVia(path_index_.get(), pool_.get(), term, fn);
 }
 
+Status ElementStore::ScanNameIds(std::string_view name,
+                                 PostingIds* out) const {
+  return name_index_->ScanTermIds(HashNameTerm(name), out);
+}
+
 Status ElementStore::ScanNamePostings(
     const std::function<bool(uint64_t term, const core::Ruid2Id& id,
                              uint64_t location)>& fn) const {
@@ -780,6 +785,11 @@ Status StoreSnapshot::ScanNameTerm(
 Status StoreSnapshot::ScanPathTerm(
     uint64_t term, const std::function<bool(const ElementRecord&)>& fn) {
   return ScanPathTermVia(&path_index_, snap_.get(), term, fn);
+}
+
+Status StoreSnapshot::ScanNameIds(std::string_view name,
+                                  PostingIds* out) const {
+  return name_index_.ScanTermIds(HashNameTerm(name), out);
 }
 
 Status ElementStore::VerifyOnDisk() {

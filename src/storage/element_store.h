@@ -83,10 +83,14 @@ class StoreSnapshot {
                       const std::function<bool(const ElementRecord&)>& fn);
   Status ScanPathTerm(uint64_t term,
                       const std::function<bool(const ElementRecord&)>& fn);
+  Status ScanNameIds(std::string_view name, PostingIds* out) const;
 
   uint64_t record_count() const { return index_.entry_count(); }
   /// The commit sequence this view is pinned to (pool-local counter).
   uint64_t commit_seq() const { return snap_->commit_seq(); }
+  /// Page fetches made through this view — its counterpart of
+  /// ElementStore::logical_page_accesses().
+  uint64_t logical_page_accesses() const { return snap_->page_accesses(); }
 
  private:
   friend class ElementStore;
@@ -156,8 +160,8 @@ class ElementStore {
       const std::function<bool(const BPlusTree::Key&, const ElementRecord&)>&
           fn);
 
-  /// Scans all records named `name` in ascending identifier order (document
-  /// order within each area), seeded from the persistent name index —
+  /// Scans all records named `name` in ascending identifier order (by area,
+  /// then local index; not document order), seeded from the name index —
   /// posting-list pages plus one heap read per match instead of a
   /// full-store enumeration. This is the paper's Sec. 4 by-name table
   /// selection, held as one key range of the name-posting tree. Term-hash
@@ -170,6 +174,13 @@ class ElementStore {
   /// identifier order.
   Status ScanPathTerm(uint64_t term,
                       const std::function<bool(const ElementRecord&)>& fn);
+
+  /// Replaces *out with the identifiers of the name postings of `name`, in
+  /// key order, decoded from the posting keys alone: posting pages only, no
+  /// heap record read. Term-hash collisions are not filtered — a caller
+  /// that resolves the identifiers to nodes checks their names (the store
+  /// joins of xpath/structural_join.h do).
+  Status ScanNameIds(std::string_view name, PostingIds* out) const;
 
   /// Raw name-index postings in (term, identifier) key order — the fsck
   /// coverage invariants walk these.

@@ -1,6 +1,7 @@
 #include "storage/secondary_index.h"
 
 #include <cstring>
+#include <utility>
 
 namespace ruidx {
 namespace storage {
@@ -76,6 +77,42 @@ core::Ruid2Id DecodePostingId(const BPlusTree::Key& key) {
   return id;
 }
 
+namespace {
+
+/// A 12-byte big-endian key component as two machine words.
+uint128_t LoadU96BE(const uint8_t* in) {
+  uint32_t hi_be;
+  uint64_t lo_be;
+  std::memcpy(&hi_be, in, 4);
+  std::memcpy(&lo_be, in + 4, 8);
+  return (static_cast<uint128_t>(__builtin_bswap32(hi_be)) << 64) |
+         __builtin_bswap64(lo_be);
+}
+
+/// The identifier half of a posting key in packed form; false when the
+/// local index leaves the packed range.
+bool DecodePostingIdPacked(const BPlusTree::Key& key,
+                           core::PackedRuid2Id* out) {
+  uint128_t local = LoadU96BE(key.data() + 20);
+  if (local > core::PackedRuid2Id::kLocalMask) return false;
+  out->global = LoadU96BE(key.data() + 8);
+  out->local_bits = static_cast<uint64_t>(local) |
+                    (key[32] != 0 ? core::PackedRuid2Id::kRootBit : 0);
+  return true;
+}
+
+/// The key range [lo, hi] holding every posting of `term`.
+std::pair<BPlusTree::Key, BPlusTree::Key> TermRange(uint64_t term) {
+  BPlusTree::Key lo{};
+  uint64_t be = __builtin_bswap64(term);
+  std::memcpy(lo.data(), &be, 8);
+  BPlusTree::Key hi = lo;
+  std::memset(hi.data() + 8, 0xFF, BPlusTree::kKeySize - 8);
+  return {lo, hi};
+}
+
+}  // namespace
+
 Result<SecondaryIndex> SecondaryIndex::Create(PageIo* pool) {
   RUIDX_ASSIGN_OR_RETURN(BPlusTree tree, BPlusTree::Create(pool));
   return SecondaryIndex(std::move(tree));
@@ -105,13 +142,24 @@ Status SecondaryIndex::BulkLoadSorted(
 Status SecondaryIndex::ScanTerm(
     uint64_t term, const std::function<bool(const core::Ruid2Id& id,
                                             uint64_t location)>& fn) const {
-  BPlusTree::Key lo{};
-  uint64_t be = __builtin_bswap64(term);
-  std::memcpy(lo.data(), &be, 8);
-  BPlusTree::Key hi = lo;
-  std::memset(hi.data() + 8, 0xFF, BPlusTree::kKeySize - 8);
+  auto [lo, hi] = TermRange(term);
   return tree_.Scan(lo, hi, [&](const BPlusTree::Key& key, uint64_t location) {
     return fn(DecodePostingId(key), location);
+  });
+}
+
+Status SecondaryIndex::ScanTermIds(uint64_t term, PostingIds* out) const {
+  out->packed.clear();
+  out->wide.clear();
+  auto [lo, hi] = TermRange(term);
+  return tree_.Scan(lo, hi, [&](const BPlusTree::Key& key, uint64_t) {
+    core::PackedRuid2Id id;
+    if (DecodePostingIdPacked(key, &id)) {
+      out->packed.push_back(id);
+    } else {
+      out->wide.push_back(DecodePostingId(key));
+    }
+    return true;
   });
 }
 

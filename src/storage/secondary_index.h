@@ -15,10 +15,13 @@
 // primary key caps at 128, and a document that deep should use more ruid
 // levels long before either bound matters. Within one term the posting
 // keys sort exactly like primary keys, so a term scan yields identifier
-// order — document order within each area, not across areas — for free.
-// Term hashes can collide (8 bytes of FNV-1a); readers filter postings
-// against the fetched record, so a collision costs one wasted record read,
-// never a wrong answer.
+// order: areas by global index, and within an area by local index, which
+// is the UID's level order — not document order, even inside one area.
+// Term hashes can collide (8 bytes of FNV-1a). Record scans filter
+// postings against the fetched record, so a collision costs one wasted
+// record read, never a wrong answer. Identifier scans (ScanTermIds) read
+// no record at all: their callers check the name of the node an
+// identifier resolves to instead (the store joins, structural_join.h).
 //
 // The posting value is the record's heap location, letting an index-seeded
 // step fetch matching records without a second descent through the primary
@@ -34,6 +37,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/packed_ruid2_id.h"
 #include "core/ruid2_id.h"
 #include "storage/bptree.h"
 #include "util/result.h"
@@ -63,6 +67,14 @@ uint64_t DecodePostingTerm(const BPlusTree::Key& key);
 /// Identifier half of a posting key.
 core::Ruid2Id DecodePostingId(const BPlusTree::Key& key);
 
+/// The identifiers of one term's postings, decoded from the keys alone.
+struct PostingIds {
+  /// Identifiers within the packed range, in key order.
+  std::vector<core::PackedRuid2Id> packed;
+  /// The rest (a local index of 63 bits or more), in key order.
+  std::vector<core::Ruid2Id> wide;
+};
+
 class SecondaryIndex {
  public:
   /// Creates an empty index (allocates its root leaf in `pool`).
@@ -87,6 +99,11 @@ class SecondaryIndex {
   Status ScanTerm(uint64_t term,
                   const std::function<bool(const core::Ruid2Id& id,
                                            uint64_t location)>& fn) const;
+
+  /// Replaces *out with the identifiers of one term's postings, decoded
+  /// straight from the keys: posting pages only, no record read, so
+  /// term-hash collisions are left for the caller to filter.
+  Status ScanTermIds(uint64_t term, PostingIds* out) const;
 
   /// Scans every posting in (term, identifier) key order — the fsck
   /// coverage checks walk this.

@@ -183,10 +183,11 @@ void SnapshotTable::Release(uint64_t snap_id) {
 }
 
 Result<uint8_t*> Snapshot::Fetch(uint32_t page_id) {
+  ++page_accesses_;
   return table_->FetchFor(id_, page_id);
 }
 
-void Snapshot::Unpin(uint32_t page_id, bool dirty) {
+void Snapshot::Unpin(uint32_t page_id, [[maybe_unused]] bool dirty) {
   RUIDX_DCHECK(!dirty, "dirty unpin through a read-only snapshot");
   table_->UnpinFor(id_, page_id);
 }

@@ -182,6 +182,8 @@ class Snapshot : public PageIo {
   uint64_t commit_seq() const { return commit_seq_; }
   /// Exclusive LSN upper bound of the committed state this snapshot reads.
   uint64_t lsn_bound() const { return lsn_bound_; }
+  /// Fetch calls made through this handle, successful or not.
+  uint64_t page_accesses() const { return page_accesses_; }
 
  private:
   friend class SnapshotTable;
@@ -196,6 +198,7 @@ class Snapshot : public PageIo {
   const uint64_t id_;
   const uint64_t commit_seq_;
   const uint64_t lsn_bound_;
+  uint64_t page_accesses_ = 0;
 };
 
 }  // namespace storage

@@ -1,6 +1,7 @@
 #include "version/versioned_document.h"
 
 #include <sstream>
+#include <utility>
 
 #include "xml/parser.h"
 #include "xml/serializer.h"
@@ -33,7 +34,7 @@ Result<std::unique_ptr<VersionedDocument>> VersionedDocument::FromXml(
   return vdoc;
 }
 
-Result<core::Ruid2Id> VersionedDocument::Insert(const core::Ruid2Id& parent,
+Result<core::Ruid2Id> VersionedDocument::Insert(core::Ruid2Id parent,
                                                 uint64_t position,
                                                 const std::string& fragment_xml) {
   xml::Node* parent_node = scheme_.NodeById(parent);
@@ -57,7 +58,7 @@ Result<core::Ruid2Id> VersionedDocument::Insert(const core::Ruid2Id& parent,
   Operation op;
   op.kind = Operation::Kind::kInsert;
   op.sequence = journal_.size() + 1;
-  op.parent = parent;
+  op.parent = std::move(parent);
   op.position = position;
   op.payload = xml::Serialize(scratch->root());
   journal_.push_back(std::move(op));
@@ -65,7 +66,7 @@ Result<core::Ruid2Id> VersionedDocument::Insert(const core::Ruid2Id& parent,
   return scheme_.label(copy);
 }
 
-Status VersionedDocument::Delete(const core::Ruid2Id& target) {
+Status VersionedDocument::Delete(core::Ruid2Id target) {
   xml::Node* victim = scheme_.NodeById(target);
   if (victim == nullptr) {
     return Status::NotFound("no node carries identifier " + target.ToString());
@@ -77,7 +78,7 @@ Status VersionedDocument::Delete(const core::Ruid2Id& target) {
   Operation op;
   op.kind = Operation::Kind::kDelete;
   op.sequence = journal_.size() + 1;
-  op.target = target;
+  op.target = std::move(target);
   journal_.push_back(std::move(op));
   ++version_;
   return Status::OK();

@@ -51,13 +51,14 @@ class VersionedDocument {
 
   /// Inserts the subtree given as XML text under the node with identifier
   /// `parent` at `position`, journals the operation, and returns the new
-  /// subtree root's identifier.
-  Result<core::Ruid2Id> Insert(const core::Ruid2Id& parent, uint64_t position,
+  /// subtree root's identifier. Identifiers are taken by value: a caller
+  /// may pass scheme().label(n), which the relabeling rewrites.
+  Result<core::Ruid2Id> Insert(core::Ruid2Id parent, uint64_t position,
                                const std::string& fragment_xml);
 
   /// Removes the subtree rooted at the node with identifier `target` and
   /// journals the operation.
-  Status Delete(const core::Ruid2Id& target);
+  Status Delete(core::Ruid2Id target);
 
   /// Applies a foreign operation (e.g. received from another site).
   Status Apply(const Operation& op);

@@ -49,18 +49,26 @@ JoinResult StructuralJoinRuidByName(const core::Ruid2Scheme& scheme,
                                     std::string_view ancestor_name,
                                     std::string_view descendant_name);
 
-/// Same seeding from the persistent name index: one posting-list scan per
-/// side (ElementStore::ScanNameTerm), identifiers resolved to DOM nodes
-/// through the scheme, then the ruid stack join. This is the query path the
-/// on-disk secondary indexes exist for — the store is never enumerated.
+/// Same seeding from the persistent name index: one posting-identifier scan
+/// per side (ElementStore::ScanNameIds) that decodes the identifiers from
+/// the posting keys and reads no heap record — the store is never
+/// enumerated and no record is fetched. The join then runs on packed
+/// identifiers: the ancestor side is hashed, and each descendant climbs its
+/// own area with rparent while the frame part of its chain comes from the
+/// ancestor-path cache once per area. A posting counts only if the scheme
+/// resolves it to a node of the requested name (NodeById(id)->name()), which
+/// guards against term-hash collisions on the nodes the caller receives.
+/// Pairs come out as from StructuralJoinRuid: descendants in document order,
+/// outer ancestors first. An identifier outside the packed range sends both
+/// sides, resolved to nodes, through StructuralJoinRuid instead.
 Result<JoinResult> StructuralJoinRuidFromStore(
     const core::Ruid2Scheme& scheme, storage::ElementStore* store,
     std::string_view ancestor_name, std::string_view descendant_name);
 
 /// The same index-seeded join against an MVCC view of the store
-/// (ElementStore::OpenSnapshot): posting scans and record reads go through
-/// the snapshot's committed pages, so the join neither blocks on a
-/// concurrent Flush nor observes half-committed postings.
+/// (ElementStore::OpenSnapshot): the posting scans go through the
+/// snapshot's committed pages, so the join neither blocks on a concurrent
+/// Flush nor observes half-committed postings.
 Result<JoinResult> StructuralJoinRuidFromSnapshot(
     const core::Ruid2Scheme& scheme, storage::StoreSnapshot* snapshot,
     std::string_view ancestor_name, std::string_view descendant_name);

@@ -43,18 +43,17 @@ class Ruid2SchemeTestPeer {
   /// index maintenance — two nodes now share one identifier.
   static void DuplicateLabel(Ruid2Scheme* s, const xml::Node* src,
                              const xml::Node* dup) {
-    s->labels_[dup->serial()] = s->labels_.at(src->serial());
+    s->labels_.at(dup->serial()).id = s->labels_.at(src->serial()).id;
   }
-  /// Swaps the identifiers of two nodes consistently in both maps: the
-  /// label/index bijection survives, but rparent() no longer inverts the
-  /// DOM edges of either node.
+  /// Swaps the identifiers of two nodes through SetLabel, so the label
+  /// array and the identifier index stay consistent: the label/index
+  /// bijection survives, but rparent() no longer inverts the DOM edges of
+  /// either node.
   static void SwapLabels(Ruid2Scheme* s, xml::Node* a, xml::Node* b) {
-    Ruid2Id ia = s->labels_.at(a->serial());
-    Ruid2Id ib = s->labels_.at(b->serial());
-    s->labels_[a->serial()] = ib;
-    s->labels_[b->serial()] = ia;
-    s->by_id_[ia] = b;
-    s->by_id_[ib] = a;
+    Ruid2Id ia = s->label(a);
+    Ruid2Id ib = s->label(b);
+    s->SetLabel(a, ib, nullptr);
+    s->SetLabel(b, ia, nullptr);
   }
 };
 

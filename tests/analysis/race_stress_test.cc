@@ -71,7 +71,9 @@ TEST(RaceStressTest, AncestorCacheReadersDuringInvalidation) {
   // The cache still serves correct chains after the storm.
   for (const core::Ruid2Id& id : ids) {
     std::vector<core::Ruid2Id> chain = scheme.Ancestors(id);
-    if (!(id == core::Ruid2RootId())) EXPECT_FALSE(chain.empty());
+    if (!(id == core::Ruid2RootId())) {
+      EXPECT_FALSE(chain.empty());
+    }
   }
 }
 

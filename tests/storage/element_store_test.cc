@@ -23,7 +23,7 @@ class Ruid2SchemeTestPeer {
  public:
   static void DuplicateLabel(Ruid2Scheme* s, const xml::Node* src,
                              const xml::Node* dup) {
-    s->labels_[dup->serial()] = s->labels_.at(src->serial());
+    s->labels_.at(dup->serial()).id = s->labels_.at(src->serial()).id;
   }
 };
 

@@ -114,8 +114,22 @@ TEST_F(EvictionTest, PrefetchLoadsThroughTheFlusherQueue) {
   BufferPool pool(pager_.get(), 4);
   pool.StartBackgroundFlusher();
   std::vector<uint32_t> ids = MakePages(&pool, 8);
-  // Pages 0..3 were evicted while 4..7 came in; prefetch one of them and
-  // use FlushAll as the queue barrier before measuring.
+  // CLOCK skips a frame whose write-back is still in flight, so page 0 can
+  // survive MakePages. Fetch pages 4..7 until one pass over them is all
+  // hits: the four frames then hold exactly those pages, so page 0 is not
+  // resident.
+  for (int pass = 0;; ++pass) {
+    ASSERT_LT(pass, 8) << "pages 4..7 never became resident together";
+    uint64_t before = pool.stats().misses;
+    for (size_t i = 4; i < 8; ++i) {
+      auto f = pool.Fetch(ids[i]);
+      ASSERT_TRUE(f.ok());
+      pool.Unpin(ids[i], false);
+    }
+    if (pool.stats().misses == before) break;
+  }
+  // Prefetch an evicted page and use FlushAll as the queue barrier before
+  // measuring.
   pool.Prefetch(ids[0]);
   ASSERT_TRUE(pool.FlushAll().ok());
   EXPECT_EQ(pool.stats().prefetches, 1u);
