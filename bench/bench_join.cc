@@ -1,6 +1,6 @@
 // Structural containment joins (related work [6]/[11]; the core relational
-// XML query-processing primitive): one-pass stack joins over ruid and
-// interval identifiers versus the quadratic pointer baseline.
+// XML query-processing primitive): the packed ruid join and the one-pass
+// interval stack join versus the quadratic pointer baseline.
 #include <memory>
 
 #include "bench_common.h"

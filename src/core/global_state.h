@@ -12,11 +12,10 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
+#include <string_view>
 
 #include "core/ktable.h"
 #include "util/result.h"
-#include "util/sync.h"
 
 namespace ruidx {
 namespace core {
@@ -36,52 +35,6 @@ Result<GlobalState> DeserializeGlobalState(std::string_view data);
 Status SaveGlobalState(uint64_t kappa, const KTable& ktable,
                        const std::string& path);
 Result<GlobalState> LoadGlobalState(const std::string& path);
-
-/// A (κ, K) holder shared across threads: query workers snapshot it, an
-/// updater stores new state after a relabeling — the concurrency shape the
-/// Sec. 4 distributed deployment needs (remote sites answer structural
-/// queries from a replicated (κ, K) that update propagation overwrites).
-/// Each Store bumps a version counter so a reader can cheaply detect that
-/// its snapshot went stale and re-pull.
-class SharedGlobalState {
- public:
-  SharedGlobalState() = default;
-  explicit SharedGlobalState(GlobalState initial) : state_(std::move(initial)) {
-    // The constructor runs before sharing; the analysis exempts it.
-  }
-
-  SharedGlobalState(const SharedGlobalState&) = delete;
-  SharedGlobalState& operator=(const SharedGlobalState&) = delete;
-
-  /// A consistent copy of the current (κ, K) — never a torn mix of two
-  /// stores. KTable is a value type, so the copy is self-contained.
-  GlobalState Snapshot() const {
-    MutexLock lock(&mu_);
-    return state_;
-  }
-
-  /// Replaces the state wholesale and returns the new version. Partial
-  /// mutation is deliberately not offered: κ and K change together or not
-  /// at all (a K row interpreted under the wrong κ mislabels every node).
-  uint64_t Store(GlobalState next) {
-    MutexLock lock(&mu_);
-    state_ = std::move(next);
-    return ++version_;
-  }
-
-  /// Monotone counter: 0 until the first Store.
-  uint64_t version() const {
-    MutexLock lock(&mu_);
-    return version_;
-  }
-
- private:
-  /// Innermost among the storage ranks: held only around the copy/swap,
-  /// never while calling out (rank table in util/sync.h).
-  mutable Mutex mu_{LockRank::kGlobalState, "global_state.mu"};
-  GlobalState state_ RUIDX_GUARDED_BY(mu_);
-  uint64_t version_ RUIDX_GUARDED_BY(mu_) = 0;
-};
 
 }  // namespace core
 }  // namespace ruidx

@@ -375,14 +375,11 @@ Result<Ruid2Id> Ruid2Scheme::Parent(const Ruid2Id& id) const {
 }
 
 std::vector<Ruid2Id> Ruid2Scheme::Ancestors(const Ruid2Id& id) const {
-  // Hybrid: packed machine-word climb inside the node's own area, then a
-  // straight copy of the memoized BigUint frame tail. Unpacking a whole
-  // cached chain element by element used to cost more than the BigUint
-  // copy it replaced.
-  PackedRuid2Id packed;
-  std::vector<Ruid2Id> out;
-  if (PackRuid2Id(id, &packed) &&
-      ancestor_cache_.AncestorsHybrid(packed, kappa_, ktable_, &out)) {
+  std::vector<PackedRuid2Id> packed;
+  if (AncestorsPacked(id, &packed)) {
+    std::vector<Ruid2Id> out;
+    out.reserve(packed.size());
+    for (const PackedRuid2Id& p : packed) out.push_back(UnpackRuid2Id(p));
     return out;
   }
   return ancestor_cache_.Ancestors(id, kappa_, ktable_);
@@ -393,15 +390,13 @@ bool Ruid2Scheme::AncestorsPacked(const Ruid2Id& id,
   PackedRuid2Id packed;
   if (!PackRuid2Id(id, &packed)) return false;
   out->clear();
-  return ancestor_cache_.AncestorsPacked(packed, kappa_, ktable_, out);
+  return PackedRuidAncestors(packed, kappa_, ktable_, out);
 }
 
 bool Ruid2Scheme::IsAncestorId(const Ruid2Id& a, const Ruid2Id& d) const {
   if (a == d) return false;
-  PackedRuid2Id pd;
   std::vector<PackedRuid2Id> chain;
-  if (PackRuid2Id(d, &pd) &&
-      ancestor_cache_.AncestorsPacked(pd, kappa_, ktable_, &chain)) {
+  if (AncestorsPacked(d, &chain)) {
     PackedRuid2Id pa;
     // d's complete chain is packed, so an unpackable a cannot be on it.
     if (!PackRuid2Id(a, &pa)) return false;
@@ -410,9 +405,8 @@ bool Ruid2Scheme::IsAncestorId(const Ruid2Id& a, const Ruid2Id& d) const {
     }
     return false;
   }
-  // a is a proper ancestor of d iff it appears on d's ancestor chain; the
-  // frame part of the chain comes from the per-area cache.
-  for (const Ruid2Id& anc : Ancestors(d)) {
+  // a is a proper ancestor of d iff it appears on d's ancestor chain.
+  for (const Ruid2Id& anc : ancestor_cache_.Ancestors(d, kappa_, ktable_)) {
     if (anc == a) return true;
   }
   return false;
@@ -434,8 +428,8 @@ int Ruid2Scheme::CompareIds(const Ruid2Id& a, const Ruid2Id& b) const {
     }
     // Fig. 10 fallback on packed chains (root first, the node last).
     std::vector<PackedRuid2Id> ca, cb;
-    if (ancestor_cache_.AncestorsPacked(pa, kappa_, ktable_, &ca) &&
-        ancestor_cache_.AncestorsPacked(pb, kappa_, ktable_, &cb)) {
+    if (PackedRuidAncestors(pa, kappa_, ktable_, &ca) &&
+        PackedRuidAncestors(pb, kappa_, ktable_, &cb)) {
       std::reverse(ca.begin(), ca.end());
       ca.push_back(pa);
       std::reverse(cb.begin(), cb.end());
@@ -491,8 +485,11 @@ xml::Node* Ruid2Scheme::NodeByPackedId(const PackedRuid2Id& id) const {
 bool Ruid2Scheme::AreaRootAncestorsPacked(
     uint128_t global, std::vector<PackedRuid2Id>* out) const {
   out->clear();
-  return ancestor_cache_.AppendPackedAreaRootChain(global, kappa_, ktable_,
-                                                   out);
+  const PackedKRow* row = ktable_.FindPacked(global);
+  if (row == nullptr) return false;
+  return PackedRuidAncestors(
+      PackedRuid2Id{global, row->root_local | PackedRuid2Id::kRootBit}, kappa_,
+      ktable_, out);
 }
 
 bool Ruid2Scheme::IsParent(const xml::Node* p, const xml::Node* c) const {

@@ -64,15 +64,17 @@ class Ruid2Scheme : public scheme::LabelingScheme {
   /// rparent() of Fig. 6. Fails for the main root identifier.
   Result<Ruid2Id> Parent(const Ruid2Id& id) const;
 
-  /// rancestor(): the chain of proper ancestors, nearest first. Served from
-  /// the per-area ancestor-path cache: only the climb inside the node's own
-  /// area costs fresh rparent() divisions.
+  /// rancestor(): the chain of proper ancestors, nearest first. A packed
+  /// identifier's chain is climbed afresh on machine words (AncestorsPacked)
+  /// and unpacked; only an identifier or chain outside the packed range goes
+  /// to the per-area ancestor-path cache's BigUint memo.
   std::vector<Ruid2Id> Ancestors(const Ruid2Id& id) const;
 
   /// Packed rancestor(): writes the proper-ancestor chain of `id`, nearest
-  /// first, as trivially-copyable packed identifiers into *out with no per-element
-  /// allocation. Returns false (with *out unspecified) when `id` or any
-  /// ancestor is outside the packed range — callers then use Ancestors().
+  /// first, as trivially-copyable packed identifiers into *out with no
+  /// per-element allocation, by a cold rparent climb that takes no lock.
+  /// Returns false (with *out unspecified) when `id` or any ancestor is
+  /// outside the packed range — callers then use Ancestors().
   bool AncestorsPacked(const Ruid2Id& id,
                        std::vector<PackedRuid2Id>* out) const;
 
@@ -94,8 +96,9 @@ class Ruid2Scheme : public scheme::LabelingScheme {
   const Partition& partition() const { return partition_; }
   const PartitionOptions& options() const { return options_; }
 
-  /// The per-area ancestor-path cache behind Ancestors/CompareIds/
-  /// IsAncestorId. Exposed for statistics; invalidation is automatic.
+  /// The per-area BigUint memo behind Ancestors/CompareIds/IsAncestorId for
+  /// identifiers outside the packed range; packed chains never touch it.
+  /// Exposed for statistics; invalidation is automatic.
   AncestorPathCache& ancestor_cache() const { return ancestor_cache_; }
 
   /// The identifier of `n`, which must be labeled (HasLabel).
@@ -116,8 +119,8 @@ class Ruid2Scheme : public scheme::LabelingScheme {
   xml::Node* NodeByPackedId(const PackedRuid2Id& id) const;
 
   /// The proper-ancestor chain of the root of area `global`, nearest first:
-  /// the frame part every identifier with that global index shares, served
-  /// from the ancestor-path cache. Returns false (with *out unspecified)
+  /// the frame part every identifier with that global index shares, climbed
+  /// from the area's packed K row. Returns false (with *out unspecified)
   /// when the area has no K row or the chain leaves the packed range.
   bool AreaRootAncestorsPacked(uint128_t global,
                                std::vector<PackedRuid2Id>* out) const;
@@ -232,8 +235,8 @@ class Ruid2Scheme : public scheme::LabelingScheme {
   std::unordered_map<BigUint, uint32_t, BigUintHash> area_by_global_;
   /// area index -> global index (inverse of area_by_global_).
   std::vector<BigUint> area_globals_;
-  /// Memoized frame ancestor chains, one per area; invalidated by the
-  /// update paths through UpdateReport.
+  /// Memoized BigUint frame ancestor chains, one per area, for identifiers
+  /// that do not pack; invalidated by the update paths through UpdateReport.
   mutable AncestorPathCache ancestor_cache_;
 };
 

@@ -146,20 +146,6 @@ struct BigUintHash {
   size_t operator()(const BigUint& v) const { return v.Hash(); }
 };
 
-/// Hash for uint128_t keys (unordered containers of packed globals).
-struct Uint128Hash {
-  size_t operator()(uint128_t v) const {
-    uint64_t lo = static_cast<uint64_t>(v);
-    uint64_t hi = static_cast<uint64_t>(v >> 64);
-    // splitmix-style mix of the two words.
-    uint64_t x = lo ^ (hi + 0x9e3779b97f4a7c15ULL + (lo << 6) + (lo >> 2));
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    return static_cast<size_t>(x);
-  }
-};
-
 }  // namespace ruidx
 
 #endif  // RUIDX_UTIL_BIGUINT_H_

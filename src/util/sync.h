@@ -101,12 +101,10 @@ enum class LockRank : int {
   /// per-call completion state, test-local mutexes. Never held while
   /// acquiring anything else.
   kLeafLatch = 10,
-  /// core::AncestorPathCache::mu_ — taken from query threads; never calls
+  /// core::AncestorPathCache::mu_ — taken only for ancestor chains of
+  /// identifiers outside the packed range and by invalidation; never calls
   /// out while held.
   kAncestorCache = 20,
-  /// core::SharedGlobalState::mu_ — the concurrent (κ, K) holder for the
-  /// MVCC / network-server consumers; snapshot/store only, no calls out.
-  kGlobalState = 25,
   /// storage::Pager::mu_ — serializes seek+transfer pairs; innermost of the
   /// storage chain (the pool holds its own mutex across pager calls).
   kPager = 30,

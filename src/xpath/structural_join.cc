@@ -37,218 +37,7 @@ JoinResult StackJoin(std::vector<xml::Node*> ancestors,
   return out;
 }
 
-}  // namespace
-
-namespace {
-
-/// A join input annotated with its root-to-node identifier chain, computed
-/// exactly once per input element — the comparators below run on plain
-/// vector compares, with no per-comparison rparent() calls or hash lookups.
-struct ChainedNode {
-  xml::Node* node;
-  std::vector<core::Ruid2Id> chain;  // root first, the node itself last
-};
-
-std::vector<ChainedNode> AnnotateChains(const core::Ruid2Scheme& scheme,
-                                        const std::vector<xml::Node*>& nodes) {
-  std::vector<ChainedNode> out;
-  out.reserve(nodes.size());
-  for (xml::Node* n : nodes) {
-    // Ancestors() serves the frame part of the chain from the per-area
-    // ancestor-path cache; only the within-area climb costs divisions.
-    std::vector<core::Ruid2Id> chain = scheme.Ancestors(scheme.label(n));
-    std::reverse(chain.begin(), chain.end());
-    chain.push_back(scheme.label(n));
-    out.push_back(ChainedNode{n, std::move(chain)});
-  }
-  return out;
-}
-
-/// Document order is lexicographic on sibling locals (Fig. 10 / Lemma 2).
-bool ChainLess(const ChainedNode& a, const ChainedNode& b) {
-  size_t n = std::min(a.chain.size(), b.chain.size());
-  for (size_t i = 0; i < n; ++i) {
-    if (!(a.chain[i] == b.chain[i])) return a.chain[i].local < b.chain[i].local;
-  }
-  return a.chain.size() < b.chain.size();  // ancestors precede descendants
-}
-
-/// Ancestorship is the proper-prefix relation on chains.
-bool ChainContains(const ChainedNode& a, const ChainedNode& d) {
-  if (a.chain.size() >= d.chain.size()) return false;
-  for (size_t i = 0; i < a.chain.size(); ++i) {
-    if (!(a.chain[i] == d.chain[i])) return false;
-  }
-  return true;
-}
-
-/// The packed fast path stores every root-to-node chain of one join input
-/// in a single contiguous arena of packed identifiers — one buffer
-/// per input, no per-node std::vector<BigUint> — with (offset, length)
-/// entries per node. Comparators run on flat uint64 words.
-struct PackedChainSet {
-  struct Item {
-    xml::Node* node;
-    uint32_t offset;
-    uint32_t length;
-  };
-  std::vector<core::PackedRuid2Id> arena;
-  std::vector<Item> items;
-
-  const core::PackedRuid2Id* chain(const Item& item) const {
-    return arena.data() + item.offset;
-  }
-};
-
-/// Annotates `nodes` with packed chains. Returns false when any identifier
-/// on any chain leaves the packed range; the caller then reruns the BigUint
-/// annotation for both inputs.
-bool AnnotatePackedChains(const core::Ruid2Scheme& scheme,
-                          const std::vector<xml::Node*>& nodes,
-                          PackedChainSet* out) {
-  out->items.reserve(nodes.size());
-  std::vector<core::PackedRuid2Id> chain;
-  for (xml::Node* n : nodes) {
-    const core::Ruid2Id& label = scheme.label(n);
-    if (!scheme.AncestorsPacked(label, &chain)) return false;
-    core::PackedRuid2Id self;
-    if (!core::PackRuid2Id(label, &self)) return false;
-    uint32_t offset = static_cast<uint32_t>(out->arena.size());
-    // AncestorsPacked is nearest-first; the arena stores root first.
-    out->arena.insert(out->arena.end(), chain.rbegin(), chain.rend());
-    out->arena.push_back(self);
-    out->items.push_back(PackedChainSet::Item{
-        n, offset, static_cast<uint32_t>(chain.size() + 1)});
-  }
-  return true;
-}
-
-/// ChainLess on packed arena spans (same order as the BigUint ChainLess).
-bool PackedChainLess(const PackedChainSet& sa, const PackedChainSet::Item& a,
-                     const PackedChainSet& sb, const PackedChainSet::Item& b) {
-  const core::PackedRuid2Id* pa = sa.chain(a);
-  const core::PackedRuid2Id* pb = sb.chain(b);
-  uint32_t n = std::min(a.length, b.length);
-  for (uint32_t i = 0; i < n; ++i) {
-    if (pa[i] != pb[i]) return pa[i].local() < pb[i].local();
-  }
-  return a.length < b.length;  // ancestors precede descendants
-}
-
-/// Proper-prefix test on packed arena spans.
-bool PackedChainContains(const PackedChainSet& sa,
-                         const PackedChainSet::Item& a,
-                         const PackedChainSet& sb,
-                         const PackedChainSet::Item& b) {
-  if (a.length >= b.length) return false;
-  const core::PackedRuid2Id* pa = sa.chain(a);
-  const core::PackedRuid2Id* pb = sb.chain(b);
-  for (uint32_t i = 0; i < a.length; ++i) {
-    if (pa[i] != pb[i]) return false;
-  }
-  return true;
-}
-
-JoinResult PackedStackJoin(PackedChainSet anc, PackedChainSet desc) {
-  std::sort(anc.items.begin(), anc.items.end(),
-            [&](const PackedChainSet::Item& x, const PackedChainSet::Item& y) {
-              return PackedChainLess(anc, x, anc, y);
-            });
-  std::sort(desc.items.begin(), desc.items.end(),
-            [&](const PackedChainSet::Item& x, const PackedChainSet::Item& y) {
-              return PackedChainLess(desc, x, desc, y);
-            });
-  JoinResult out;
-  out.reserve(desc.items.size());
-  std::vector<const PackedChainSet::Item*> stack;
-  size_t ai = 0;
-  for (const PackedChainSet::Item& d : desc.items) {
-    while (ai < anc.items.size() &&
-           PackedChainLess(anc, anc.items[ai], desc, d)) {
-      const PackedChainSet::Item* a = &anc.items[ai++];
-      while (!stack.empty() &&
-             !PackedChainContains(anc, *stack.back(), anc, *a)) {
-        stack.pop_back();
-      }
-      stack.push_back(a);
-    }
-    while (!stack.empty() &&
-           !PackedChainContains(anc, *stack.back(), desc, d)) {
-      stack.pop_back();
-    }
-    for (const PackedChainSet::Item* a : stack) {
-      out.emplace_back(a->node, d.node);
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-JoinResult StructuralJoinRuid(const core::Ruid2Scheme& scheme,
-                              std::vector<xml::Node*> ancestors,
-                              std::vector<xml::Node*> descendants) {
-  PackedChainSet packed_anc, packed_desc;
-  if (AnnotatePackedChains(scheme, ancestors, &packed_anc) &&
-      AnnotatePackedChains(scheme, descendants, &packed_desc)) {
-    return PackedStackJoin(std::move(packed_anc), std::move(packed_desc));
-  }
-  std::vector<ChainedNode> anc = AnnotateChains(scheme, ancestors);
-  std::vector<ChainedNode> desc = AnnotateChains(scheme, descendants);
-  std::sort(anc.begin(), anc.end(), ChainLess);
-  std::sort(desc.begin(), desc.end(), ChainLess);
-
-  JoinResult out;
-  out.reserve(desc.size());  // every surviving descendant emits >= 1 pair
-  std::vector<const ChainedNode*> stack;
-  size_t ai = 0;
-  for (const ChainedNode& d : desc) {
-    // Admit every ancestor candidate that starts before d.
-    while (ai < anc.size() && ChainLess(anc[ai], d)) {
-      const ChainedNode* a = &anc[ai++];
-      while (!stack.empty() && !ChainContains(*stack.back(), *a)) {
-        stack.pop_back();
-      }
-      stack.push_back(a);
-    }
-    // Retire stack entries that do not contain d.
-    while (!stack.empty() && !ChainContains(*stack.back(), d)) {
-      stack.pop_back();
-    }
-    for (const ChainedNode* a : stack) out.emplace_back(a->node, d.node);
-  }
-  return out;
-}
-
-JoinResult StructuralJoinRuidByName(const core::Ruid2Scheme& scheme,
-                                    const NameIndex& index,
-                                    std::string_view ancestor_name,
-                                    std::string_view descendant_name) {
-  return StructuralJoinRuid(scheme, index.Lookup(ancestor_name),
-                            index.Lookup(descendant_name));
-}
-
-namespace {
-
-/// The nodes named `name` that one side's posting identifiers resolve to.
-/// Checking the resolved node's name is the term-collision guard of the
-/// store joins; an identifier the scheme does not know is skipped.
-std::vector<xml::Node*> ResolvePostings(const core::Ruid2Scheme& scheme,
-                                        const storage::PostingIds& ids,
-                                        std::string_view name) {
-  std::vector<xml::Node*> out;
-  out.reserve(ids.packed.size() + ids.wide.size());
-  auto keep = [&](xml::Node* node) {
-    if (node != nullptr && node->name() == name) out.push_back(node);
-  };
-  for (const core::PackedRuid2Id& id : ids.packed) {
-    keep(scheme.NodeByPackedId(id));
-  }
-  for (const core::Ruid2Id& id : ids.wide) keep(scheme.NodeById(id));
-  return out;
-}
-
-/// The ancestor side of a posting join: packed identifier -> node, in a
+/// The ancestor side of a packed join: packed identifier -> node, in a
 /// flat table with linear probing (a null node marks an empty slot). At
 /// most half full, so every probe run ends.
 class AncestorTable {
@@ -290,31 +79,24 @@ class AncestorTable {
   size_t size_ = 0;
 };
 
-/// The store join on machine words. Ancestor identifiers go into a hash
-/// table; each descendant climbs inside its area with PackedRuidParent and
-/// probes it at every step, while the frame part of its chain, shared by
-/// all identifiers of one area, is fetched and probed once per run of
-/// postings in that area (postings arrive area-major). Only descendants
-/// with an ancestor are resolved to nodes and sorted, by their root-first
-/// chains of sibling locals (Fig. 10: document order is lexicographic on
-/// them). Returns false when an identifier or chain leaves the packed
-/// range; the caller then runs the BigUint join.
-bool PackedPostingJoin(const core::Ruid2Scheme& scheme,
-                       const storage::PostingIds& anc,
-                       const storage::PostingIds& desc,
-                       std::string_view ancestor_name,
-                       std::string_view descendant_name, JoinResult* out) {
-  if (!anc.wide.empty() || !desc.wide.empty()) return false;
-  AncestorTable ancestors(anc.packed.size());
-  for (const core::PackedRuid2Id& id : anc.packed) {
-    xml::Node* node = scheme.NodeByPackedId(id);
-    if (node != nullptr && node->name() == ancestor_name) {
-      ancestors.Insert(id, node);
-    }
-  }
+/// The join on machine words. `ancestors` holds the ancestor candidates;
+/// `desc` holds the descendant candidates' packed identifiers with equal
+/// globals adjacent. Each descendant climbs inside its area with
+/// PackedRuidParent and probes the table at every step, while the frame
+/// part of its chain, shared by all identifiers of one area, is climbed and
+/// probed once per run of that area. `resolve(i)` names the node of
+/// desc[i], or nullptr to drop it; it runs only for descendants with an
+/// ancestor. Matched descendants are sorted by their root-first chains of
+/// sibling locals (Fig. 10: document order is lexicographic on them).
+/// Returns false when a chain leaves the packed range; the caller then
+/// falls back to the stack join.
+template <typename Resolve>
+bool PackedJoin(const core::Ruid2Scheme& scheme,
+                const AncestorTable& ancestors,
+                const std::vector<core::PackedRuid2Id>& desc,
+                const Resolve& resolve, JoinResult* out) {
   out->clear();
   if (ancestors.empty()) return true;
-
   struct Match {
     xml::Node* node;
     uint32_t chain_offset, chain_length;  // into chains
@@ -326,9 +108,9 @@ bool PackedPostingJoin(const core::Ruid2Scheme& scheme,
   std::vector<core::PackedRuid2Id> frame, climb;
   std::vector<uint64_t> frame_locals;       // root first
   std::vector<xml::Node*> frame_ancestors;  // outer first
-  const size_t n = desc.packed.size();
+  const size_t n = desc.size();
   for (size_t i = 0; i < n;) {
-    const uint128_t area = desc.packed[i].global;
+    const uint128_t area = desc[i].global;
     if (!scheme.AreaRootAncestorsPacked(area, &frame)) return false;
     frame_locals.clear();
     frame_ancestors.clear();
@@ -336,8 +118,8 @@ bool PackedPostingJoin(const core::Ruid2Scheme& scheme,
       frame_locals.push_back(it->local());
       if (xml::Node* a = ancestors.Find(*it)) frame_ancestors.push_back(a);
     }
-    for (; i < n && desc.packed[i].global == area; ++i) {
-      const core::PackedRuid2Id& d = desc.packed[i];
+    for (; i < n && desc[i].global == area; ++i) {
+      const core::PackedRuid2Id& d = desc[i];
       // The climb to the area root, nearest first.
       climb.clear();
       core::PackedRuid2Id cur = d;
@@ -364,10 +146,8 @@ bool PackedPostingJoin(const core::Ruid2Scheme& scheme,
         if (xml::Node* a = ancestors.Find(*it)) pair_ancestors.push_back(a);
       }
       xml::Node* node = nullptr;
-      if (pair_ancestors.size() > pair_offset) {
-        node = scheme.NodeByPackedId(d);
-      }
-      if (node == nullptr || node->name() != descendant_name) {
+      if (pair_ancestors.size() > pair_offset) node = resolve(i);
+      if (node == nullptr) {
         pair_ancestors.resize(pair_offset);
         continue;
       }
@@ -398,6 +178,105 @@ bool PackedPostingJoin(const core::Ruid2Scheme& scheme,
     }
   }
   return true;
+}
+
+/// StructuralJoinRuid's packed arm: both node lists packed, the
+/// descendants grouped by area. Returns false when a label or a chain does
+/// not pack.
+bool PackedNodeJoin(const core::Ruid2Scheme& scheme,
+                    const std::vector<xml::Node*>& ancestors,
+                    const std::vector<xml::Node*>& descendants,
+                    JoinResult* out) {
+  AncestorTable table(ancestors.size());
+  core::PackedRuid2Id id;
+  for (xml::Node* a : ancestors) {
+    if (!core::PackRuid2Id(scheme.label(a), &id)) return false;
+    table.Insert(id, a);
+  }
+  std::vector<std::pair<core::PackedRuid2Id, xml::Node*>> by_area;
+  by_area.reserve(descendants.size());
+  for (xml::Node* d : descendants) {
+    if (!core::PackRuid2Id(scheme.label(d), &id)) return false;
+    by_area.emplace_back(id, d);
+  }
+  std::sort(by_area.begin(), by_area.end(),
+            [](const auto& x, const auto& y) {
+              return x.first.global < y.first.global;
+            });
+  std::vector<core::PackedRuid2Id> ids;
+  ids.reserve(by_area.size());
+  for (const auto& entry : by_area) ids.push_back(entry.first);
+  return PackedJoin(scheme, table, ids,
+                    [&](size_t i) { return by_area[i].second; }, out);
+}
+
+}  // namespace
+
+JoinResult StructuralJoinRuid(const core::Ruid2Scheme& scheme,
+                              std::vector<xml::Node*> ancestors,
+                              std::vector<xml::Node*> descendants) {
+  JoinResult out;
+  if (PackedNodeJoin(scheme, ancestors, descendants, &out)) return out;
+  // Identifiers outside the packed range: the stack skeleton on the
+  // scheme's own order and ancestorship.
+  auto less = [&scheme](const xml::Node* a, const xml::Node* b) {
+    return scheme.CompareIds(scheme.label(a), scheme.label(b)) < 0;
+  };
+  auto contains = [&scheme](const xml::Node* a, const xml::Node* d) {
+    return scheme.IsAncestorId(scheme.label(a), scheme.label(d));
+  };
+  return StackJoin(std::move(ancestors), std::move(descendants), less,
+                   contains);
+}
+
+JoinResult StructuralJoinRuidByName(const core::Ruid2Scheme& scheme,
+                                    const NameIndex& index,
+                                    std::string_view ancestor_name,
+                                    std::string_view descendant_name) {
+  return StructuralJoinRuid(scheme, index.Lookup(ancestor_name),
+                            index.Lookup(descendant_name));
+}
+
+namespace {
+
+/// The nodes named `name` that one side's posting identifiers resolve to.
+/// Checking the resolved node's name is the term-collision guard of the
+/// store joins; an identifier the scheme does not know is skipped.
+std::vector<xml::Node*> ResolvePostings(const core::Ruid2Scheme& scheme,
+                                        const storage::PostingIds& ids,
+                                        std::string_view name) {
+  std::vector<xml::Node*> out;
+  out.reserve(ids.packed.size() + ids.wide.size());
+  auto keep = [&](xml::Node* node) {
+    if (node != nullptr && node->name() == name) out.push_back(node);
+  };
+  for (const core::PackedRuid2Id& id : ids.packed) {
+    keep(scheme.NodeByPackedId(id));
+  }
+  for (const core::Ruid2Id& id : ids.wide) keep(scheme.NodeById(id));
+  return out;
+}
+
+/// The store join's packed arm. The name guards live here: a posting
+/// counts only if it resolves to a node of the requested name.
+bool PackedPostingJoin(const core::Ruid2Scheme& scheme,
+                       const storage::PostingIds& anc,
+                       const storage::PostingIds& desc,
+                       std::string_view ancestor_name,
+                       std::string_view descendant_name, JoinResult* out) {
+  if (!anc.wide.empty() || !desc.wide.empty()) return false;
+  AncestorTable ancestors(anc.packed.size());
+  for (const core::PackedRuid2Id& id : anc.packed) {
+    xml::Node* node = scheme.NodeByPackedId(id);
+    if (node != nullptr && node->name() == ancestor_name) {
+      ancestors.Insert(id, node);
+    }
+  }
+  // Postings arrive area-major, so equal globals are already adjacent.
+  return PackedJoin(scheme, ancestors, desc.packed, [&](size_t i) {
+    xml::Node* node = scheme.NodeByPackedId(desc.packed[i]);
+    return node != nullptr && node->name() == descendant_name ? node : nullptr;
+  }, out);
 }
 
 /// One posting-identifier scan per side, then the packed join — or, when

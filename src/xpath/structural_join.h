@@ -5,11 +5,15 @@
 // consumer of a numbering scheme: the join condition is decided by
 // identifiers alone.
 //
-// Three implementations share one stack-based skeleton (a single merge pass
-// over both inputs in document order, maintaining the stack of currently
-// open ancestors):
-//   * ruid       — order and ancestorship from Ruid2 identifiers,
-//   * interval   — order and ancestorship from XISS (order, size) labels,
+// Two join algorithms, plus a reference:
+//   * packed join — ruid identifiers on machine words: the ancestor side is
+//     hashed by packed identifier, each descendant climbs its own area with
+//     rparent while the frame part of its chain is climbed once per area,
+//     and the matched descendants are sorted into document order.
+//     StructuralJoinRuid and the store joins both run it.
+//   * stack join — one merge pass over both inputs in document order,
+//     keeping the stack of currently open ancestors. It runs over XISS
+//     (order, size) labels, and over ruid identifiers that do not pack.
 //   * nested loop — the quadratic DOM baseline, used as ground truth.
 #ifndef RUIDX_XPATH_STRUCTURAL_JOIN_H_
 #define RUIDX_XPATH_STRUCTURAL_JOIN_H_
@@ -34,16 +38,18 @@ namespace xpath {
 
 using JoinResult = std::vector<std::pair<xml::Node*, xml::Node*>>;
 
-/// Stack-based merge join over ruid identifiers. Inputs need not be sorted.
-/// Pairs come out grouped by descendant, outer ancestors first.
+/// The ruid join. Inputs need not be sorted. Pairs come out grouped by
+/// descendant, descendants in document order, outer ancestors first. A
+/// label or chain outside the packed range sends both sides through the
+/// stack join on CompareIds and IsAncestorId.
 JoinResult StructuralJoinRuid(const core::Ruid2Scheme& scheme,
                               std::vector<xml::Node*> ancestors,
                               std::vector<xml::Node*> descendants);
 
 /// Seeds both join inputs from the in-memory name index (Sec. 3.5's
 /// "second approach" applied to the join: candidates come from the
-/// condition, containment from identifier arithmetic) and runs the ruid
-/// stack join — no document scan to gather either side.
+/// condition, containment from identifier arithmetic) and runs
+/// StructuralJoinRuid — no document scan to gather either side.
 JoinResult StructuralJoinRuidByName(const core::Ruid2Scheme& scheme,
                                     const NameIndex& index,
                                     std::string_view ancestor_name,
@@ -52,15 +58,14 @@ JoinResult StructuralJoinRuidByName(const core::Ruid2Scheme& scheme,
 /// Same seeding from the persistent name index: one posting-identifier scan
 /// per side (ElementStore::ScanNameIds) that decodes the identifiers from
 /// the posting keys and reads no heap record — the store is never
-/// enumerated and no record is fetched. The join then runs on packed
-/// identifiers: the ancestor side is hashed, and each descendant climbs its
-/// own area with rparent while the frame part of its chain comes from the
-/// ancestor-path cache once per area. A posting counts only if the scheme
-/// resolves it to a node of the requested name (NodeById(id)->name()), which
-/// guards against term-hash collisions on the nodes the caller receives.
-/// Pairs come out as from StructuralJoinRuid: descendants in document order,
-/// outer ancestors first. An identifier outside the packed range sends both
-/// sides, resolved to nodes, through StructuralJoinRuid instead.
+/// enumerated and no record is fetched. The packed join then runs on the
+/// posting identifiers, which arrive grouped by area, and takes no lock.
+/// A posting counts only if the scheme resolves it to a node of the
+/// requested name (NodeById(id)->name()), which guards against term-hash
+/// collisions on the nodes the caller receives. Pairs come out as from
+/// StructuralJoinRuid: descendants in document order, outer ancestors
+/// first. An identifier outside the packed range sends both sides, resolved
+/// to nodes, through StructuralJoinRuid instead.
 Result<JoinResult> StructuralJoinRuidFromStore(
     const core::Ruid2Scheme& scheme, storage::ElementStore* store,
     std::string_view ancestor_name, std::string_view descendant_name);
@@ -73,7 +78,7 @@ Result<JoinResult> StructuralJoinRuidFromSnapshot(
     const core::Ruid2Scheme& scheme, storage::StoreSnapshot* snapshot,
     std::string_view ancestor_name, std::string_view descendant_name);
 
-/// Same skeleton over XISS interval labels.
+/// The stack join over XISS interval labels.
 JoinResult StructuralJoinInterval(const scheme::XissScheme& scheme,
                                   std::vector<xml::Node*> ancestors,
                                   std::vector<xml::Node*> descendants);

@@ -1,6 +1,7 @@
 // Race stress for the two shared-state hot spots, meant to run under TSan:
 //  - AncestorPathCache: concurrent Ancestors/AncestorsPacked readers while
-//    an updater thread keeps invalidating (OnUpdate/Clear).
+//    an updater thread keeps invalidating (OnUpdate/Clear), on a tree whose
+//    deep identifiers do not pack, so their chains go through the memo.
 //  - BufferPool's background flusher: copy-out drains racing workers that
 //    pin, mutate and unpin disjoint page slices of a journaled pool.
 // The assertions are deliberately light — the point is the interleaving;
@@ -22,9 +23,16 @@ namespace ruidx {
 namespace {
 
 TEST(RaceStressTest, AncestorCacheReadersDuringInvalidation) {
-  auto doc = xml::GenerateDblpLike(60, 3);
+  // Every node roots its own area down a depth-90 spine, so globals grow
+  // like 3^depth and the deep ones pass 2^128: packed chains are computed
+  // without the cache, the deep BigUint ones are memoized.
+  xml::DeepTreeConfig deep;
+  deep.depth = 90;
+  deep.siblings_per_level = 2;
+  auto doc = xml::GenerateDeepTree(deep);
   core::PartitionOptions part;
-  part.max_area_nodes = 16;
+  part.max_area_nodes = 2;
+  part.max_area_depth = 1;
   core::Ruid2Scheme scheme(part);
   scheme.Build(doc->root());
 
@@ -67,6 +75,7 @@ TEST(RaceStressTest, AncestorCacheReadersDuringInvalidation) {
   stop.store(true);
   for (auto& t : threads) t.join();
   EXPECT_GT(chains_read.load(), 0u);
+  EXPECT_GT(scheme.ancestor_cache().misses(), 0u);
 
   // The cache still serves correct chains after the storm.
   for (const core::Ruid2Id& id : ids) {

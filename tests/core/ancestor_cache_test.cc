@@ -3,8 +3,13 @@
 // relabeled > 0, areas_dropped > 0, or local_fanout_grew — every cached
 // Ancestors answer must equal a cold recomputation via the raw rparent loop,
 // and CompareIds/IsAncestorId must agree with DOM ground truth.
+//
+// The memo serves only identifiers outside the packed range, so the tests
+// that count its hits, entries and invalidations run on a tree whose deep
+// globals pass 2^128; packed identifiers must leave it untouched.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "core/ruid2.h"
@@ -21,6 +26,35 @@ PartitionOptions SmallAreas() {
   options.max_area_nodes = 10;
   options.max_area_depth = 2;
   return options;
+}
+
+/// packed_ruid2_test's global-overflow shape: a depth-90 spine with two
+/// leaf siblings per level, every node rooting its own area, so the frame is
+/// the tree itself and globals grow like kappa^depth (3^90 ~ 2^142). The
+/// deep identifiers do not pack, and their chains go through the memo.
+std::unique_ptr<xml::Document> GlobalOverflowDoc() {
+  xml::DeepTreeConfig config;
+  config.depth = 90;
+  config.siblings_per_level = 2;
+  return xml::GenerateDeepTree(config);
+}
+
+PartitionOptions TinyAreas() {
+  PartitionOptions options;
+  options.max_area_nodes = 2;
+  options.max_area_depth = 1;
+  return options;
+}
+
+/// The spine section at `depth` (the root section is depth 0).
+xml::Node* SpineNode(xml::Node* root, int depth) {
+  xml::Node* cur = root;
+  for (int d = 0; d < depth; ++d) {
+    for (xml::Node* c : cur->children()) {
+      if (c->name() == "section") cur = c;
+    }
+  }
+  return cur;
 }
 
 /// Cold recomputation of the ancestor chain: the bare rparent() loop on
@@ -82,8 +116,8 @@ void CheckRelationsOnSample(Ruid2Scheme& scheme, xml::Node* root, Rng& rng) {
 }
 
 TEST(AncestorCacheTest, WarmHitsAfterRepeatedQueries) {
-  auto doc = xml::GenerateUniformTree(300, 3);
-  Ruid2Scheme scheme(SmallAreas());
+  auto doc = GlobalOverflowDoc();
+  Ruid2Scheme scheme(TinyAreas());
   scheme.Build(doc->root());
   std::vector<xml::Node*> nodes = ruidx::testing::AllNodes(doc->root());
   for (xml::Node* n : nodes) (void)scheme.Ancestors(scheme.label(n));
@@ -96,8 +130,8 @@ TEST(AncestorCacheTest, WarmHitsAfterRepeatedQueries) {
 }
 
 TEST(AncestorCacheTest, CachedChainsMatchColdClimb) {
-  auto doc = xml::GenerateDblpLike(150);
-  Ruid2Scheme scheme(SmallAreas());
+  auto doc = GlobalOverflowDoc();
+  Ruid2Scheme scheme(TinyAreas());
   scheme.Build(doc->root());
   std::vector<xml::Node*> nodes = ruidx::testing::AllNodes(doc->root());
   // Warm every area chain first, then answer from the cache.
@@ -110,8 +144,8 @@ TEST(AncestorCacheTest, CachedChainsMatchColdClimb) {
 }
 
 TEST(AncestorCacheTest, InsertThatGrowsFanoutInvalidates) {
-  auto doc = xml::GenerateUniformTree(200, 3);
-  Ruid2Scheme scheme(SmallAreas());
+  auto doc = GlobalOverflowDoc();
+  Ruid2Scheme scheme(TinyAreas());
   scheme.Build(doc->root());
   // Warm the cache on every node first.
   for (xml::Node* n : ruidx::testing::AllNodes(doc->root())) {
@@ -120,7 +154,7 @@ TEST(AncestorCacheTest, InsertThatGrowsFanoutInvalidates) {
   // Keep inserting under one parent until the local fanout grows (or we
   // relabel); either way the cache must have been dropped and the answers
   // must still match cold recomputation.
-  xml::Node* parent = doc->root()->children()[0]->children()[0];
+  xml::Node* parent = SpineNode(doc->root(), 85);
   bool invalidated = false;
   for (int i = 0; i < 12 && !invalidated; ++i) {
     xml::Node* leaf = doc->CreateElement("pad");
@@ -135,19 +169,43 @@ TEST(AncestorCacheTest, InsertThatGrowsFanoutInvalidates) {
 }
 
 TEST(AncestorCacheTest, RemovingSubtreeDropsAreasAndStaysConsistent) {
-  auto doc = xml::GenerateUniformTree(600, 3);
-  Ruid2Scheme scheme(SmallAreas());
+  auto doc = GlobalOverflowDoc();
+  Ruid2Scheme scheme(TinyAreas());
   scheme.Build(doc->root());
   for (xml::Node* n : ruidx::testing::AllNodes(doc->root())) {
     (void)scheme.Ancestors(scheme.label(n));
   }
   // Removing a big subtree drops every area rooted inside it.
-  xml::Node* victim = doc->root()->children()[0];
+  xml::Node* victim = SpineNode(doc->root(), 80);
   auto report = scheme.RemoveAndRelabel(doc.get(), victim);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_GT(report->areas_dropped, 0u);
   EXPECT_GT(scheme.ancestor_cache().invalidations(), 0u);
   CheckCacheAgainstColdRecompute(scheme, doc->root());
+}
+
+TEST(AncestorCacheTest, PackedPathsLeaveTheMemoEmpty) {
+  xml::XmarkConfig config;
+  auto doc = xml::GenerateXmarkLike(config);
+  Ruid2Scheme scheme(SmallAreas());
+  scheme.Build(doc->root());
+  std::vector<xml::Node*> nodes = ruidx::testing::AllNodes(doc->root());
+  std::vector<PackedRuid2Id> chain;
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const Ruid2Id& id = scheme.label(nodes[i]);
+    const Ruid2Id& other = scheme.label(nodes[(i * 7 + 3) % nodes.size()]);
+    PackedRuid2Id packed;
+    ASSERT_TRUE(PackRuid2Id(id, &packed)) << id.ToString();
+    EXPECT_EQ(scheme.Ancestors(id).size(),
+              ruidx::testing::DomAncestors(nodes[i]).size());
+    ASSERT_TRUE(scheme.AncestorsPacked(id, &chain));
+    (void)scheme.IsAncestorId(other, id);
+    (void)scheme.CompareIds(id, other);
+    ASSERT_TRUE(scheme.AreaRootAncestorsPacked(packed.global, &chain));
+  }
+  EXPECT_EQ(scheme.ancestor_cache().entry_count(), 0u);
+  EXPECT_EQ(scheme.ancestor_cache().hits() + scheme.ancestor_cache().misses(),
+            0u);
 }
 
 TEST(AncestorCacheTest, PropertyRandomUpdateSequence) {

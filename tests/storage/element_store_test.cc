@@ -190,6 +190,7 @@ TEST_F(ElementStoreTest, TextValuesRoundTrip) {
 TEST(ElementStoreEdgeTest, PersistsAcrossReopen) {
   std::string path = ::testing::TempDir() + "/ruidx_store_test.db";
   std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
   auto doc = xml::GenerateDblpLike(60);
   core::Ruid2Scheme scheme(SmallAreas());
   scheme.Build(doc->root());
@@ -225,6 +226,7 @@ TEST(ElementStoreEdgeTest, PersistsAcrossReopen) {
     EXPECT_EQ(back->name, "extra");
   }
   std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
 }
 
 TEST(ElementStoreEdgeTest, OpenRejectsGarbageFile) {

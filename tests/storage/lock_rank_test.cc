@@ -65,11 +65,11 @@ TEST(LockRankTest, ParallelLabelBulkLoadAndCacheInvalidationRunClean) {
   util::ThreadPool pool(4);
   scheme.Build(doc->root(), &pool);
 
-  // Readers keep the ancestor-cache mutex hot while the bulk load drives
-  // the pool / flusher / wal / pager chains of an 8-page store, and an
-  // updater thread interleaves invalidations — together with the parallel
-  // labeling above, every rank in the table gets acquired, in every real
-  // combination.
+  // A churn thread reads ancestor chains (packed ones take no lock) and
+  // invalidates the ancestor cache under its mutex while the bulk load
+  // drives the pool / flusher / wal / pager chains of an 8-page store —
+  // together with the parallel labeling above, every rank in the table
+  // gets acquired, in every real combination.
   std::vector<core::Ruid2Id> ids;
   scheme.ForEachLabeled(
       [&](xml::Node*, const core::Ruid2Id& id) { ids.push_back(id); });
